@@ -39,6 +39,7 @@ from . import bounds as boundsmod
 from . import checks, rng as rngmod, tempering
 from .discrete import reference_four_state
 from .engine import (
+    ENGINE_MODES,
     RunConfig,
     RunReport,
     WeightCollapseError,
@@ -108,6 +109,25 @@ _SCHEMA = {
     "sweep": None,  # free-form dotted paths to value lists
 }
 
+# (block, key) -> (test, requirement) for values whose type alone is not enough
+_LIMITS = {
+    ("algorithm", "particles"): (lambda v: v >= 1, "must be at least 1"),
+    ("algorithm", "mutation_steps"): (lambda v: v >= 0, "must be at least 0"),
+    ("algorithm", "seed"): (lambda v: 0 <= v < 2**64, "must be in 0..2**64-1"),
+    ("algorithm", "engine"): (
+        lambda v: v in ENGINE_MODES,
+        "must be one of " + ", ".join(ENGINE_MODES),
+    ),
+}
+
+
+def _check_limit(block: str, key: str, value, path: str):
+    if value is None or (block, key) not in _LIMITS:
+        return
+    test, requirement = _LIMITS[(block, key)]
+    if not test(value):
+        raise ConfigError(path, f"{requirement}, got {value!r}")
+
 
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
@@ -133,6 +153,7 @@ def validate_config(cfg: dict) -> dict:
                     f"{key}.{sub}",
                     f"expected {allowed[sub]}, got {type(value).__name__}",
                 )
+            _check_limit(key, sub, value, f"{key}.{sub}")
     return cfg
 
 
@@ -224,6 +245,11 @@ def _write_summary(path: Path, summary: dict):
 def _one_smc_run(cfg, seed, threads):
     family, partition, truth = build_problem(cfg)
     algo = cfg.get("algorithm", {})
+    if algo.get("engine") == "counts" and family.kind != "index":
+        raise ConfigError(
+            "algorithm.engine",
+            f"the count engine needs an enumerated family, not {family.name!r}",
+        )
     config = RunConfig(
         family=family,
         partition=partition,
@@ -630,6 +656,7 @@ def sweep_from_config(cfg: dict, threads: int = 1, out_dir: Path = Path("out")):
         row = {"point": k}
         row.update({p: v for p, v in zip(paths, combo)})
         try:
+            validate_config(point_cfg)
             method = _require(point_cfg, "algorithm", "method")
             pdir = out_dir / f"point_{k:03d}"
             if method == "smc":
@@ -705,6 +732,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        _check_limit("algorithm", "seed", args.seed, "--seed")
         if args.command == "verify":
             seed = args.seed if args.seed is not None else 20240
             rows = verify_suite(seed=seed, quick=args.quick)

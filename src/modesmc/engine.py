@@ -14,9 +14,12 @@ Two law-equivalent execution paths exist. The generic path tracks an
 array of particle states. For enumerated (index) families the engine
 instead tracks per-state particle counts: conditionally on the counts the
 particles are exchangeable and every recorded quantity is a symmetric
-function of the population, so the count dynamics (multinomial splits
-along exact kernel rows) have exactly the distribution of per-particle
-simulation while supporting particle counts in the millions.
+function of the population. The walk's rows have at most three nonzero
+entries (left, stay, right), so each mutation step splits every state's
+count by two binomial draws vectorised over all states
+(``DiscreteNeighborWalk.mutate_counts``). These count dynamics have
+exactly the distribution of per-particle simulation, cost O(m) per step
+for m states whatever N is, and support particle counts in the millions.
 
 Output is a pure function of (config, seed): all randomness comes from
 counter-based per-(stage, phase) streams and mutation noise is pre-drawn
@@ -37,6 +40,7 @@ from .families import AnnealedFamily, Partition
 from .kernels import RestrictedKernel, stage_kernel
 
 COUNT_PATH_MAX_STATES = 2048
+ENGINE_MODES = ("auto", "particles", "counts")
 
 
 class WeightCollapseError(RuntimeError):
@@ -65,7 +69,7 @@ class RunConfig:
             raise ValueError("need at least one particle")
         if self.mutation_steps < 0:
             raise ValueError("mutation step count must be >= 0")
-        if self.engine_mode not in ("auto", "particles", "counts"):
+        if self.engine_mode not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {self.engine_mode!r}")
 
     def uses_counts(self) -> bool:

@@ -173,15 +173,35 @@ class DiscreteNeighborWalk:
     def step(self, states, rng, cells=None, partition=None):
         return self.mutate(states, 1, rng, cells=cells, partition=partition)
 
+    def band(self, partition=None):
+        """Per-state move probabilities ``(down, up)`` to i-1 and i+1.
+
+        The proposal picks a neighbour with probability 1/2 and accepts with
+        min(1, mass ratio), so ``up[i] = 0.5 * exp(min(0, lm[i+1] - lm[i]))``.
+        Moves off the path, and under a partition moves across a cell edge,
+        get probability 0: the refused particle stays put, which is the
+        refusal construction of ``restrict_transition_matrix``. Every other
+        entry of a kernel row is 0 apart from the stay probability
+        ``1 - down - up``.
+        """
+        step = np.diff(self.log_mass)
+        down = np.zeros(self.n_states)
+        up = np.zeros(self.n_states)
+        up[:-1] = 0.5 * np.exp(np.minimum(0.0, step))
+        down[1:] = 0.5 * np.exp(np.minimum(0.0, -step))
+        if partition is not None:
+            labels = partition.classify(np.arange(self.n_states))
+            edge = labels[1:] != labels[:-1]
+            up[:-1][edge] = 0.0
+            down[1:][edge] = 0.0
+        return down, up
+
     def transition_matrix(self) -> np.ndarray:
-        m = self.n_states
-        P = np.zeros((m, m))
-        lm = self.log_mass
-        for i in range(m):
-            for j in (i - 1, i + 1):
-                if 0 <= j < m:
-                    P[i, j] = 0.5 * min(1.0, math.exp(lm[j] - lm[i]))
-            P[i, i] = 1.0 - P[i].sum()
+        down, up = self.band()
+        P = np.diag(1.0 - (down + up))
+        i = np.arange(self.n_states - 1)
+        P[i + 1, i] = down[1:]
+        P[i, i + 1] = up[:-1]
         return P
 
     def mutate_counts(self, counts, t, rng, partition=None):
@@ -189,18 +209,24 @@ class DiscreteNeighborWalk:
 
         Conditionally on the counts, particles move independently, so the
         next population is a sum of per-state multinomial splits along the
-        exact transition rows.
+        kernel rows. A row has at most three nonzero entries (``band``), so
+        the split of the c particles at state i is drawn exactly in two
+        conditional binomial steps: L ~ Bin(c, down[i]) move left, then
+        R ~ Bin(c - L, up[i] / (1 - down[i])) of the rest move right, and
+        the others stay. This is the factorisation of the multinomial law
+        into its conditionals, so no approximation is made; each draw is
+        vectorised over all states, giving two calls per step and O(m)
+        memory.
         """
-        P = self.transition_matrix()
-        if partition is not None:
-            labels = partition.classify(np.arange(self.n_states))
-            P = restrict_transition_matrix(P, labels)
         counts = np.asarray(counts, dtype=np.int64).copy()
+        down, up = self.band(partition)
+        up_rest = up / (1.0 - down)  # down <= 1/2, so no division by 0
         for _ in range(t):
-            new = np.zeros_like(counts)
-            for i in np.flatnonzero(counts):
-                new += rng.multinomial(counts[i], P[i])
-            counts = new
+            left = rng.binomial(counts, down)
+            right = rng.binomial(counts - left, up_rest)
+            counts -= left + right
+            counts[:-1] += left[1:]
+            counts[1:] += right[:-1]
         return counts
 
 

@@ -97,6 +97,27 @@ class TestCommands:
         assert main(["run-smc", "--config", str(path)]) == 2
         assert "problem.spin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("engine", "counts"),  # ising is not an enumerated family
+            ("engine", "warp"),
+            ("particles", 0),
+            ("mutation_steps", -1),
+        ],
+    )
+    def test_invalid_algorithm_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["algorithm"][key] = value
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-smc", "--config", str(path)]) == 2
+        assert f"algorithm.{key}" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, ISING_CFG)
+        assert main(["run-smc", "--config", str(path), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_run_smc_outputs(self, tmp_path, capsys):
         path = write_cfg(tmp_path, ISING_CFG)
         out = tmp_path / "o"
@@ -222,6 +243,14 @@ class TestSweep:
         statuses = [r["status"] for r in results]
         assert statuses[0] == "ok" and statuses[2] == "ok"
         assert statuses[1] != "ok"
+
+    def test_invalid_point_values_are_config_errors(self, tmp_path):
+        cfg = self.base()
+        cfg["problem"]["dimension"] = 3
+        cfg["sweep"] = {"algorithm.particles": [0, 200]}
+        results = sweep_from_config(cfg, out_dir=tmp_path / "s")
+        statuses = [r["status"] for r in results]
+        assert statuses == ["config-error:algorithm.particles", "ok"]
 
     def test_empty_grid_writes_empty_table(self, tmp_path):
         cfg = self.base()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from modesmc import (
     DiscreteNeighborWalk,
@@ -9,6 +10,7 @@ from modesmc import (
     RandomWalkMetropolis,
     RestrictedKernel,
     SingleSiteFlip,
+    index_partition,
     ising_target,
     mixing_time_bound,
     restrict_transition_matrix,
@@ -255,3 +257,131 @@ class TestWorkerInvariance:
         a = kernel.mutate(x, 9, _stream(14), workers=1)
         b = kernel.mutate(x, 9, _stream(14), workers=4)
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The banded count step against the dense per-state reference.
+
+
+def _loop_transition_matrix(log_mass):
+    """Reference: the neighbour walk's matrix filled entry by entry."""
+    lm = np.asarray(log_mass, dtype=float)
+    m = lm.size
+    P = np.zeros((m, m))
+    for i in range(m):
+        for j in (i - 1, i + 1):
+            if 0 <= j < m:
+                P[i, j] = 0.5 * min(1.0, math.exp(lm[j] - lm[i]))
+        P[i, i] = 1.0 - P[i].sum()
+    return P
+
+
+def _dense_mutate_counts(P, counts, t, rng):
+    """Reference law: one multinomial split per occupied state per step."""
+    counts = np.asarray(counts, dtype=np.int64).copy()
+    for _ in range(t):
+        new = np.zeros_like(counts)
+        for i in np.flatnonzero(counts):
+            new += rng.multinomial(counts[i], P[i])
+        counts = new
+    return counts
+
+
+def _two_basin(m):
+    """A walk on m states with one basin per half and a cell edge between."""
+    x = np.arange(m)
+    lm = -np.minimum((x - m / 4) ** 2, (x - 3 * m / 4) ** 2) / (0.15 * m) ** 2
+    lm += np.where(x < m // 2, 0.0, np.log(1.5))  # unequal basins
+    labels = (x >= m // 2).astype(np.int64)
+    return DiscreteNeighborWalk(lm), labels
+
+
+class TestBandedCountStep:
+    def test_matrix_equals_entrywise_loop(self):
+        gen = rngmod.stream(917, 0, rngmod.REPLICATE)
+        for m in (1, 2, 3, 64, 513):
+            lm = 4.0 * gen.standard_normal(m)
+            got = DiscreteNeighborWalk(lm).transition_matrix()
+            assert np.allclose(got, _loop_transition_matrix(lm), rtol=0, atol=1e-15)
+
+    def test_restricted_band_is_refusal_matrix(self):
+        walk, labels = _two_basin(12)
+        down, up = walk.band(index_partition(labels))
+        R = restrict_transition_matrix(_loop_transition_matrix(walk.log_mass), labels)
+        assert np.allclose(np.diag(R, -1), down[1:], rtol=0, atol=1e-15)
+        assert np.allclose(np.diag(R, 1), up[:-1], rtol=0, atol=1e-15)
+        assert down[0] == 0.0 and up[-1] == 0.0
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("start", [0, 11, 3, 5, 6])  # ends, interior, edge
+    def test_one_step_split_chi_square(self, start, restricted):
+        walk, labels = _two_basin(12)
+        P = _loop_transition_matrix(walk.log_mass)
+        part = None
+        if restricted:
+            part = index_partition(labels)
+            P = restrict_transition_matrix(P, labels)
+        n = 1_000_000
+        counts = np.zeros(12, dtype=np.int64)
+        counts[start] = n
+        out = walk.mutate_counts(counts, 1, _stream(20 + start), partition=part)
+        row = P[start]
+        support = row > 0
+        assert out.sum() == n
+        assert np.all(out[~support] == 0)
+        expected = n * row[support]
+        chi2 = ((out[support] - expected) ** 2 / expected).sum()
+        assert stats.chi2.sf(chi2, support.sum() - 1) > 1e-3
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_mean_counts_after_five_steps(self, restricted):
+        walk, labels = _two_basin(64)
+        P = _loop_transition_matrix(walk.log_mass)
+        part = None
+        if restricted:
+            part = index_partition(labels)
+            P = restrict_transition_matrix(P, labels)
+        counts = (np.arange(64) % 7) * 100
+        gen = _stream(40 + restricted)
+        runs = np.array(
+            [walk.mutate_counts(counts, 5, gen, partition=part) for _ in range(400)]
+        )
+        expected = counts @ np.linalg.matrix_power(P, 5)
+        se = runs.std(axis=0, ddof=1) / math.sqrt(runs.shape[0])
+        assert np.all(np.abs(runs.mean(axis=0) - expected) <= 4 * se + 1e-9)
+
+    def test_banded_and_dense_reference_agree(self):
+        walk, labels = _two_basin(64)
+        part = index_partition(labels)
+        P = restrict_transition_matrix(_loop_transition_matrix(walk.log_mass), labels)
+        counts = (np.arange(64) % 5) * 40
+        gen = _stream(42)
+        banded = np.array(
+            [walk.mutate_counts(counts, 5, gen, partition=part) for _ in range(300)]
+        )
+        dense = np.array([_dense_mutate_counts(P, counts, 5, gen) for _ in range(300)])
+        diff = banded.mean(axis=0) - dense.mean(axis=0)
+        se = np.sqrt((banded.var(axis=0, ddof=1) + dense.var(axis=0, ddof=1)) / 300)
+        assert np.all(np.abs(diff) <= 4 * se + 1e-9)
+
+    def test_total_conserved_and_cells_sealed(self):
+        walk, labels = _two_basin(64)
+        part = index_partition(labels)
+        counts = _stream(43).multinomial(10**6, np.full(64, 1 / 64))
+        free = walk.mutate_counts(counts, 50, _stream(44))
+        sealed = walk.mutate_counts(counts, 50, _stream(45), partition=part)
+        assert free.sum() == counts.sum()
+        assert np.array_equal(
+            np.bincount(labels, weights=sealed), np.bincount(labels, weights=counts)
+        )
+        assert np.all(free >= 0) and np.all(sealed >= 0)
+
+    def test_zero_steps_and_empty_states(self):
+        walk, labels = _two_basin(64)
+        counts = np.zeros(64, dtype=np.int64)
+        counts[20:23] = [5, 0, 7]
+        out0 = walk.mutate_counts(counts, 0, _stream(46))
+        assert np.array_equal(out0, counts) and out0 is not counts
+        out1 = walk.mutate_counts(counts, 1, _stream(47), partition=index_partition(labels))
+        assert out1.sum() == 12
+        assert np.all(out1[:19] == 0) and np.all(out1[24:] == 0)
