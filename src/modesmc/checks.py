@@ -159,18 +159,23 @@ def warm_mixing_time(
     raise RuntimeError(f"no mixing within {t_max} steps (worst TV {worst:.3g})")
 
 
-def warm_mixing_times(space: DiscreteSpace, v: int, M: float, epsilon: float) -> list:
-    """Exact per-cell warm mixing times of the stage-v restricted kernel."""
+def restricted_cell_blocks(space: DiscreteSpace, v: int) -> list:
+    """Per cell j, the block of the stage-v restricted kernel on cell j and
+    the stage-v conditional on that cell, which the block leaves invariant."""
     base = stage_kernel(space.to_family(), v)
     P = restrict_transition_matrix(transition_matrix(base), space.labels)
-    taus = []
-    for j in range(space.n_cells):
-        taus.append(
-            warm_mixing_time(
-                cell_submatrix(P, space.labels, j), space.conditional(v, j), M, epsilon
-            )
-        )
-    return taus
+    return [
+        (cell_submatrix(P, space.labels, j), space.conditional(v, j))
+        for j in range(space.n_cells)
+    ]
+
+
+def warm_mixing_times(space: DiscreteSpace, v: int, M: float, epsilon: float) -> list:
+    """Exact per-cell warm mixing times of the stage-v restricted kernel."""
+    return [
+        warm_mixing_time(sub, cond, M, epsilon)
+        for sub, cond in restricted_cell_blocks(space, v)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,7 @@ from .engine import (
     run,
 )
 from .families import analytic_catalog, gaussian_mixture_target, ising_target
-from .kernels import (
-    cell_submatrix,
-    restrict_transition_matrix,
-    spectral_gap,
-    stage_kernel,
-    transition_matrix,
-)
+from .kernels import mixing_time_bound, spectral_gap, stage_kernel, transition_matrix
 
 DIAGNOSTIC_COLUMNS = (
     "stage",
@@ -184,10 +178,18 @@ def build_problem(cfg: dict):
     prob = cfg.get("problem", {})
     if family_tag == "ising":
         d = _require(cfg, "problem", "dimension")
+        if d < 1 or d % 2 == 0:
+            raise ConfigError(
+                "problem.dimension", f"must be odd and positive for ising, got {d}"
+            )
         family, partition = ising_target(d, prob.get("alpha", 1.0))
         return family, partition, analytic_catalog(family)
     if family_tag == "gaussian_mixture":
         d = _require(cfg, "problem", "dimension")
+        if d < 2:
+            raise ConfigError(
+                "problem.dimension", f"must be at least 2 for gaussian_mixture, got {d}"
+            )
         family, partition = gaussian_mixture_target(
             d,
             w=prob.get("weight", 0.5),
@@ -457,21 +459,21 @@ def _yamlable(v):
 
 
 def _min_restricted_gap(space) -> float:
-    gaps = []
-    for v in range(1, space.n_stages + 1):
-        base = stage_kernel(space.to_family(), v)
-        P = restrict_transition_matrix(transition_matrix(base), space.labels)
-        for j in range(space.n_cells):
-            sub = cell_submatrix(P, space.labels, j)
-            gaps.append(spectral_gap(sub, stationary=space.conditional(v, j)))
-    return min(gaps)
+    return min(
+        spectral_gap(sub, stationary=cond)
+        for v in range(1, space.n_stages + 1)
+        for sub, cond in checks.restricted_cell_blocks(space, v)
+    )
 
 
 # ---------------------------------------------------------------------------
 # verify: the distributional check suite on the reference instance.
 
 
-def verify_suite(seed: int = 2024_0 , quick: bool = False) -> list:
+VERIFY_SEED = 20240
+
+
+def verify_suite(seed: int = VERIFY_SEED, quick: bool = False) -> list:
     """Run the standing checks; returns (name, passed, detail) rows."""
     rows = []
     space = reference_four_state()
@@ -482,14 +484,10 @@ def verify_suite(seed: int = 2024_0 , quick: bool = False) -> list:
     # exact restricted stationarity + detailed balance at every stage
     worst_db, worst_st = 0.0, 0.0
     for v in range(1, space.n_stages + 1):
-        base = stage_kernel(space.to_family(), v)
-        P = transition_matrix(base)
+        P = transition_matrix(stage_kernel(space.to_family(), v))
         pi = space.stage_probs(v)
         worst_db = max(worst_db, np.max(np.abs(pi[:, None] * P - (pi[:, None] * P).T)))
-        R = restrict_transition_matrix(P, space.labels)
-        for j in range(space.n_cells):
-            sub = cell_submatrix(R, space.labels, j)
-            cond = space.conditional(v, j)
+        for sub, cond in checks.restricted_cell_blocks(space, v):
             worst_st = max(worst_st, np.max(np.abs(cond @ sub - cond)))
     record("detailed-balance-exact", worst_db < 1e-10, f"max flux asym {worst_db:.2e}")
     record("restricted-stationarity", worst_st < 1e-10, f"max residual {worst_st:.2e}")
@@ -497,14 +495,9 @@ def verify_suite(seed: int = 2024_0 , quick: bool = False) -> list:
     # warm mixing times never exceed the spectral-gap bound
     ok, detail = True, []
     for v in range(1, space.n_stages + 1):
-        base = stage_kernel(space.to_family(), v)
-        P = restrict_transition_matrix(transition_matrix(base), space.labels)
-        for j in range(space.n_cells):
-            sub = cell_submatrix(P, space.labels, j)
-            gap = spectral_gap(sub, stationary=space.conditional(v, j))
-            tau = checks.warm_mixing_time(sub, space.conditional(v, j), 7, 0.01)
-            from .kernels import mixing_time_bound
-
+        for j, (sub, cond) in enumerate(checks.restricted_cell_blocks(space, v)):
+            gap = spectral_gap(sub, stationary=cond)
+            tau = checks.warm_mixing_time(sub, cond, 7, 0.01)
             bound = mixing_time_bound(gap, 0.01, 7)
             ok &= tau <= bound
             detail.append(f"v{v}j{j}:{tau}<={bound}")
@@ -733,8 +726,10 @@ def main(argv=None) -> int:
 
     try:
         _check_limit("algorithm", "seed", args.seed, "--seed")
+        if args.threads < 1:
+            raise ConfigError("--threads", f"must be at least 1, got {args.threads}")
         if args.command == "verify":
-            seed = args.seed if args.seed is not None else 20240
+            seed = args.seed if args.seed is not None else VERIFY_SEED
             rows = verify_suite(seed=seed, quick=args.quick)
             width = max(len(r[0]) for r in rows)
             for name, passed, detail in rows:

@@ -9,6 +9,9 @@ One run executes
 
 recording per-stage diagnostics: per-cell weight sums, resampling
 probabilities, occupancies, and the log normalizing-constant increment.
+Mutation calls the ``mutate`` (or ``mutate_counts``) of the kernel
+``stage_kernel`` returns, with the run's partition when it is restricted
+and none when it is not.
 
 Two law-equivalent execution paths exist. The generic path tracks an
 array of particle states. For enumerated (index) families the engine
@@ -20,6 +23,8 @@ count by two binomial draws vectorised over all states
 (``DiscreteNeighborWalk.mutate_counts``). These count dynamics have
 exactly the distribution of per-particle simulation, cost O(m) per step
 for m states whatever N is, and support particle counts in the millions.
+Both paths compute the stage diagnostics with one function, from the log
+weight of each particle or of each occupied state's whole count.
 
 Output is a pure function of (config, seed): all randomness comes from
 counter-based per-(stage, phase) streams and mutation noise is pre-drawn
@@ -29,7 +34,7 @@ per stage, so worker count never changes the result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,45 +136,48 @@ def initialize(config: RunConfig) -> ParticleSystem:
     return ParticleSystem(states=states, cells=cells, v=0)
 
 
-def _diagnostics_from_log(stage, logw, cells, occupancy_before, occupancy_after, p):
-    n = logw.shape[0]
-    log_total = logsumexp(logw)
+def _stage_diagnostics(stage, log_mass, cells, n, p, occupancy_before):
+    """Collapse check and per-cell log weight sums of one stage.
+
+    ``log_mass`` is the log weight of each particle (particle path) or of
+    each state's whole count (count path), and ``cells`` its cell labels.
+    Runs before the resampling draw, so it returns the log total weight
+    with diagnostics whose ``occupancy_after`` the caller fills in after
+    the draw.
+    """
+    log_total = logsumexp(log_mass)
     if not np.isfinite(log_total):
         raise WeightCollapseError(stage)
     log_cell = np.full(p, -np.inf)
     for j in range(p):
         mask = cells == j
         if mask.any():
-            log_cell[j] = logsumexp(logw[mask])
-    return StepDiagnostics(
+            log_cell[j] = logsumexp(log_mass[mask])
+    diag = StepDiagnostics(
         stage=stage,
         cell_weight_sums=np.exp(log_cell - np.log(n)),
         resample_probs=np.exp(log_cell - log_total),
         occupancy_before=occupancy_before,
-        occupancy_after=occupancy_after,
+        occupancy_after=None,
         log_z_increment=float(log_total - np.log(n)),
     )
+    return log_total, diag
 
 
 def _resample_from_log(system, logw, gen, partition, stage):
-    top = logw.max()
-    if not np.isfinite(top):
-        raise WeightCollapseError(stage)
-    probs = np.exp(logw - top)
-    total = probs.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise WeightCollapseError(stage)
-    idx = gen.choice(system.n, size=system.n, p=probs / total)
-    states = system.states[idx]
-    cells = system.cells[idx]
-    diag = _diagnostics_from_log(
+    _, diag = _stage_diagnostics(
         stage,
         logw,
         system.cells,
-        partition.occupancy(system.cells),
-        partition.occupancy(cells),
+        system.n,
         partition.n_cells,
+        partition.occupancy(system.cells),
     )
+    probs = np.exp(logw - logw.max())
+    idx = gen.choice(system.n, size=system.n, p=probs / probs.sum())
+    states = system.states[idx]
+    cells = system.cells[idx]
+    diag = replace(diag, occupancy_after=partition.occupancy(cells))
     return ParticleSystem(states=states, cells=cells, v=system.v), diag
 
 
@@ -208,20 +216,16 @@ def _run_particles(config: RunConfig) -> RunReport:
         )
         if config.record_resampled:
             trace.append(_trace_snapshot(system.states, family))
-        base = stage_kernel(family, v, step_size=config.step_size)
-        kernel = (
-            RestrictedKernel(base, partition) if config.restricted else _Free(base)
-        )
-        system = mutate(
-            system,
-            kernel,
+        states = stage_kernel(family, v, step_size=config.step_size).mutate(
+            system.states,
             config.mutation_steps,
             rngmod.stream(config.seed, v, rngmod.MUTATE),
+            cells=system.cells,
+            partition=partition if config.restricted else None,
             workers=config.workers,
         )
-        if not config.restricted:
-            system.cells = partition.classify(system.states)
-        system.v = v
+        cells = system.cells if config.restricted else partition.classify(states)
+        system = ParticleSystem(states=states, cells=cells, v=v)
         diagnostics.append(diag)
         seconds.append(time.perf_counter() - tic)
     return RunReport(
@@ -234,16 +238,6 @@ def _run_particles(config: RunConfig) -> RunReport:
         stage_seconds=seconds,
         resampled_trace=trace if config.record_resampled else None,
     )
-
-
-class _Free:
-    """Adapter running a base kernel without cell confinement."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def mutate(self, states, cells, t, rng, workers=1):
-        return self.base.mutate(states, t, rng, workers=workers)
 
 
 def _trace_snapshot(states, family):
@@ -261,61 +255,36 @@ def _run_counts(config: RunConfig) -> RunReport:
     p = partition.n_cells
     n = config.n_particles
 
+    def occupancy(c):
+        return np.bincount(labels, weights=c, minlength=p).astype(np.int64)
+
     lm0 = family.betas[0] * base_lm
     probs0 = np.exp(lm0 - lm0.max())
     probs0 /= probs0.sum()
     counts = rngmod.stream(config.seed, 0, rngmod.INIT).multinomial(n, probs0)
 
     diagnostics, seconds, trace = [], [], []
-
-    def log_counts_of(c):
-        out = np.full(c.shape, -np.inf)
-        nz = c > 0
-        out[nz] = np.log(c[nz])
-        return out
-
     for v in range(1, family.n_stages + 1):
         tic = time.perf_counter()
-        lw_state = (family.betas[v] - family.betas[v - 1]) * base_lm
-        log_mass = log_counts_of(counts) + lw_state  # -inf on empty states
-        log_total = logsumexp(log_mass)
-        if not np.isfinite(log_total):
-            raise WeightCollapseError(v)
-        log_cell = np.array(
-            [
-                logsumexp(log_mass[labels == j]) if np.any(labels == j) else -np.inf
-                for j in range(p)
-            ]
-        )
-        occupancy_before = np.bincount(labels, weights=counts, minlength=p).astype(
-            np.int64
+        with np.errstate(divide="ignore"):
+            log_mass = np.log(counts)  # -inf on empty states
+        log_mass += (family.betas[v] - family.betas[v - 1]) * base_lm
+        log_total, diag = _stage_diagnostics(
+            v, log_mass, labels, n, p, occupancy(counts)
         )
         pick = np.exp(log_mass - log_total)
         pick /= pick.sum()
         gen = rngmod.stream(config.seed, v, rngmod.RESAMPLE)
         counts = gen.multinomial(n, pick)
-        occupancy_after = np.bincount(labels, weights=counts, minlength=p).astype(
-            np.int64
-        )
         if config.record_resampled:
             trace.append(counts.copy())
-        diagnostics.append(
-            StepDiagnostics(
-                stage=v,
-                cell_weight_sums=np.exp(log_cell - np.log(n)),
-                resample_probs=np.exp(log_cell - log_total),
-                occupancy_before=occupancy_before,
-                occupancy_after=occupancy_after,
-                log_z_increment=float(log_total - np.log(n)),
-            )
+        diagnostics.append(replace(diag, occupancy_after=occupancy(counts)))
+        counts = stage_kernel(family, v).mutate_counts(
+            counts,
+            config.mutation_steps,
+            rngmod.stream(config.seed, v, rngmod.MUTATE),
+            partition=partition if config.restricted else None,
         )
-        base = stage_kernel(family, v)
-        kernel = RestrictedKernel(base, partition)
-        mgen = rngmod.stream(config.seed, v, rngmod.MUTATE)
-        if config.restricted:
-            counts = kernel.mutate_counts(counts, config.mutation_steps, mgen)
-        else:
-            counts = base.mutate_counts(counts, config.mutation_steps, mgen)
         seconds.append(time.perf_counter() - tic)
 
     final_states = np.repeat(state_ids, counts)

@@ -1,9 +1,14 @@
 """Stage-invariant Markov kernels, cell restriction, and spectral tooling.
 
 Each kernel targets one annealed stage (its log density already includes
-beta_v). Mutation pre-draws every random number for a whole (t, n) block
-from the caller's stream and then applies steps chunk by chunk, so output
-is identical no matter how many workers share the block.
+beta_v). The three particle kernels share one Metropolis driver and
+supply only a state dtype, a move block and a proposal. The driver copies
+the states and draws from the caller's stream, in this order, the whole
+(t, n) move block and then the (t, n) acceptance uniforms; it then
+applies the steps chunk by chunk, so output is identical no matter how
+many workers share the block. A proposal that would leave the state
+space (the neighbour walk's moves off either end of its path) returns
+the current state, so accepting it is a stay.
 
 Restriction follows the refuse-leaving-moves construction: a full base
 step is simulated and the result is discarded (the particle stays put)
@@ -45,7 +50,47 @@ def _run_chunked(task, n, workers):
         list(pool.map(task, chunks))
 
 
-class RandomWalkMetropolis:
+class _Metropolis:
+    """The Metropolis driver shared by the particle kernels.
+
+    A kernel supplies ``dtype`` (of its state array, None to keep the
+    input's), ``log_density(x)``, ``draw_moves(rng, t, n)`` returning a
+    block indexed ``[step, particle]`` and ``propose(x, move)``; the driver
+    owns the stream order, the accept/refuse loop and the cell check.
+    """
+
+    dtype = None
+
+    def mutate(self, states, t, rng, cells=None, partition=None, workers=1):
+        x = np.array(states, dtype=self.dtype, copy=True)
+        if t == 0:
+            return x
+        n = x.shape[0]
+        moves = self.draw_moves(rng, t, n)
+        logu = np.log(rng.random((t, n)))
+        logp = np.asarray(self.log_density(x), dtype=float)
+
+        def task(sl):
+            xs, lp = x[sl], logp[sl]
+            cs = cells[sl] if cells is not None else None
+            for s in range(t):
+                y = self.propose(xs, moves[s, sl])
+                lpy = np.asarray(self.log_density(y), dtype=float)
+                acc = logu[s, sl] < (lpy - lp)
+                if partition is not None:
+                    acc &= partition.classify(y) == cs
+                xs[acc] = y[acc]
+                lp[acc] = lpy[acc]
+            x[sl], logp[sl] = xs, lp
+
+        _run_chunked(task, n, workers)
+        return x
+
+    def step(self, states, rng, cells=None, partition=None):
+        return self.mutate(states, 1, rng, cells=cells, partition=partition)
+
+
+class RandomWalkMetropolis(_Metropolis):
     """Gaussian random-walk Metropolis on real vectors.
 
     proposal_std is the per-coordinate standard deviation of the proposal
@@ -53,6 +98,7 @@ class RandomWalkMetropolis:
     """
 
     kind = "real"
+    dtype = float
 
     def __init__(self, log_density: Callable, proposal_std: float, dim: int):
         if proposal_std <= 0:
@@ -61,36 +107,14 @@ class RandomWalkMetropolis:
         self.proposal_std = float(proposal_std)
         self.dim = int(dim)
 
-    def mutate(self, states, t, rng, cells=None, partition=None, workers=1):
-        x = np.array(states, dtype=float, copy=True)
-        if t == 0:
-            return x
-        n = x.shape[0]
-        noise = self.proposal_std * rng.standard_normal((t, n, self.dim))
-        logu = np.log(rng.random((t, n)))
-        logp = np.asarray(self.log_density(x), dtype=float)
+    def draw_moves(self, rng, t, n):
+        return self.proposal_std * rng.standard_normal((t, n, self.dim))
 
-        def task(sl):
-            xs, lp = x[sl], logp[sl]
-            cs = cells[sl] if cells is not None else None
-            for s in range(t):
-                y = xs + noise[s, sl]
-                lpy = np.asarray(self.log_density(y), dtype=float)
-                acc = logu[s, sl] < (lpy - lp)
-                if partition is not None:
-                    acc &= partition.classify(y) == cs
-                xs[acc] = y[acc]
-                lp[acc] = lpy[acc]
-            x[sl], logp[sl] = xs, lp
-
-        _run_chunked(task, n, workers)
-        return x
-
-    def step(self, states, rng, cells=None, partition=None):
-        return self.mutate(states, 1, rng, cells=cells, partition=partition)
+    def propose(self, x, move):
+        return x + move
 
 
-class SingleSiteFlip:
+class SingleSiteFlip(_Metropolis):
     """Metropolis kernel flipping one uniformly chosen spin per step."""
 
     kind = "spin"
@@ -99,41 +123,20 @@ class SingleSiteFlip:
         self.log_density = log_density
         self.dim = int(dim)
 
-    def mutate(self, states, t, rng, cells=None, partition=None, workers=1):
-        x = np.array(states, copy=True)
-        if t == 0:
-            return x
-        n = x.shape[0]
-        sites = rng.integers(0, self.dim, size=(t, n))
-        logu = np.log(rng.random((t, n)))
-        logp = np.asarray(self.log_density(x), dtype=float)
+    def draw_moves(self, rng, t, n):
+        return rng.integers(0, self.dim, size=(t, n))
 
-        def task(sl):
-            xs, lp = x[sl], logp[sl]
-            cs = cells[sl] if cells is not None else None
-            rows = np.arange(xs.shape[0])
-            for s in range(t):
-                y = xs.copy()
-                y[rows, sites[s, sl]] *= -1
-                lpy = np.asarray(self.log_density(y), dtype=float)
-                acc = logu[s, sl] < (lpy - lp)
-                if partition is not None:
-                    acc &= partition.classify(y) == cs
-                xs[acc] = y[acc]
-                lp[acc] = lpy[acc]
-            x[sl], logp[sl] = xs, lp
-
-        _run_chunked(task, n, workers)
-        return x
-
-    def step(self, states, rng, cells=None, partition=None):
-        return self.mutate(states, 1, rng, cells=cells, partition=partition)
+    def propose(self, x, move):
+        y = x.copy()
+        y[np.arange(x.shape[0]), move] *= -1
+        return y
 
 
-class DiscreteNeighborWalk:
+class DiscreteNeighborWalk(_Metropolis):
     """Metropolized nearest-neighbor walk on an enumerated path of states."""
 
     kind = "index"
+    dtype = np.int64
 
     def __init__(self, log_mass: np.ndarray):
         self.log_mass = np.asarray(log_mass, dtype=float)
@@ -144,34 +147,15 @@ class DiscreteNeighborWalk:
     def n_states(self):
         return self.log_mass.size
 
-    def mutate(self, states, t, rng, cells=None, partition=None, workers=1):
-        x = np.array(states, dtype=np.int64, copy=True)
-        if t == 0:
-            return x
-        n = x.shape[0]
-        dirs = rng.integers(0, 2, size=(t, n)) * 2 - 1
-        logu = np.log(rng.random((t, n)))
-        lm = self.log_mass
-        m = self.n_states
+    def log_density(self, x):
+        return self.log_mass[x]
 
-        def task(sl):
-            xs = x[sl]
-            cs = cells[sl] if cells is not None else None
-            for s in range(t):
-                y = xs + dirs[s, sl]
-                valid = (y >= 0) & (y < m)
-                ysafe = np.where(valid, y, xs)
-                acc = valid & (logu[s, sl] < lm[ysafe] - lm[xs])
-                if partition is not None:
-                    acc &= partition.classify(ysafe) == cs
-                xs[acc] = ysafe[acc]
-            x[sl] = xs
+    def draw_moves(self, rng, t, n):
+        return rng.integers(0, 2, size=(t, n)) * 2 - 1
 
-        _run_chunked(task, n, workers)
-        return x
-
-    def step(self, states, rng, cells=None, partition=None):
-        return self.mutate(states, 1, rng, cells=cells, partition=partition)
+    def propose(self, x, move):
+        y = x + move
+        return np.where((y >= 0) & (y < self.n_states), y, x)
 
     def band(self, partition=None):
         """Per-state move probabilities ``(down, up)`` to i-1 and i+1.
@@ -256,9 +240,6 @@ class RestrictedKernel:
         return self.base.mutate(
             states, t, rng, cells=cells, partition=self.partition, workers=workers
         )
-
-    def mutate_counts(self, counts, t, rng):
-        return self.base.mutate_counts(counts, t, rng, partition=self.partition)
 
 
 def stage_kernel(family: AnnealedFamily, v: int, step_size: Optional[float] = None):

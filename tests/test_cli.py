@@ -113,6 +113,25 @@ class TestCommands:
         assert main(["run-smc", "--config", str(path)]) == 2
         assert f"algorithm.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family,dimension", [("gaussian_mixture", 1), ("ising", 4), ("ising", -1)]
+    )
+    def test_invalid_problem_dimension_exits_2(
+        self, tmp_path, capsys, family, dimension
+    ):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["problem"].update(family=family, dimension=dimension)
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-smc", "--config", str(path)]) == 2
+        assert "problem.dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_invalid_threads_exits_2(self, tmp_path, capsys, threads):
+        path = write_cfg(tmp_path, ISING_CFG)
+        argv = ["run-smc", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main([*argv, "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, ISING_CFG)
         assert main(["run-smc", "--config", str(path), "--seed", "-1"]) == 2
@@ -251,6 +270,13 @@ class TestSweep:
         results = sweep_from_config(cfg, out_dir=tmp_path / "s")
         statuses = [r["status"] for r in results]
         assert statuses == ["config-error:algorithm.particles", "ok"]
+
+    def test_invalid_dimension_points_are_config_errors(self, tmp_path):
+        cfg = self.base()
+        cfg["sweep"]["problem.dimension"] = [3, 4]  # even d is invalid for ising
+        results = sweep_from_config(cfg, out_dir=tmp_path / "s")
+        statuses = [r["status"] for r in results]
+        assert statuses == ["ok", "config-error:problem.dimension"]
 
     def test_empty_grid_writes_empty_table(self, tmp_path):
         cfg = self.base()

@@ -10,6 +10,7 @@ from modesmc import (
     RandomWalkMetropolis,
     RestrictedKernel,
     SingleSiteFlip,
+    gaussian_mixture_target,
     index_partition,
     ising_target,
     mixing_time_bound,
@@ -385,3 +386,104 @@ class TestBandedCountStep:
         out1 = walk.mutate_counts(counts, 1, _stream(47), partition=index_partition(labels))
         assert out1.sum() == 12
         assert np.all(out1[:19] == 0) and np.all(out1[24:] == 0)
+
+
+# ---------------------------------------------------------------------------
+# The shared Metropolis driver against the per-kernel loops it replaced.
+
+
+def _ref_rwm(kernel, states, t, rng, cells, partition):
+    """Reference: the random-walk loop, noise block drawn before the uniforms."""
+    x = np.array(states, dtype=float, copy=True)
+    n = x.shape[0]
+    noise = kernel.proposal_std * rng.standard_normal((t, n, kernel.dim))
+    logu = np.log(rng.random((t, n)))
+    lp = np.asarray(kernel.log_density(x), dtype=float)
+    for s in range(t):
+        y = x + noise[s]
+        lpy = np.asarray(kernel.log_density(y), dtype=float)
+        acc = logu[s] < (lpy - lp)
+        if partition is not None:
+            acc &= partition.classify(y) == cells
+        x[acc] = y[acc]
+        lp[acc] = lpy[acc]
+    return x
+
+
+def _ref_flip(kernel, states, t, rng, cells, partition):
+    """Reference: the single-site flip loop, sites drawn before the uniforms."""
+    x = np.array(states, copy=True)
+    n = x.shape[0]
+    sites = rng.integers(0, kernel.dim, size=(t, n))
+    logu = np.log(rng.random((t, n)))
+    lp = np.asarray(kernel.log_density(x), dtype=float)
+    rows = np.arange(n)
+    for s in range(t):
+        y = x.copy()
+        y[rows, sites[s]] *= -1
+        lpy = np.asarray(kernel.log_density(y), dtype=float)
+        acc = logu[s] < (lpy - lp)
+        if partition is not None:
+            acc &= partition.classify(y) == cells
+        x[acc] = y[acc]
+        lp[acc] = lpy[acc]
+    return x
+
+
+def _ref_walk(kernel, states, t, rng, cells, partition):
+    """Reference: the neighbour-walk loop, refusing off-path moves by a mask."""
+    x = np.array(states, dtype=np.int64, copy=True)
+    n = x.shape[0]
+    dirs = rng.integers(0, 2, size=(t, n)) * 2 - 1
+    logu = np.log(rng.random((t, n)))
+    lm = kernel.log_mass
+    for s in range(t):
+        y = x + dirs[s]
+        valid = (y >= 0) & (y < lm.size)
+        ysafe = np.where(valid, y, x)
+        acc = valid & (logu[s] < lm[ysafe] - lm[x])
+        if partition is not None:
+            acc &= partition.classify(ysafe) == cells
+        x[acc] = ysafe[acc]
+    return x
+
+
+def _driver_case(name):
+    gen = _stream(60)
+    if name == "rwm":
+        fam, part = gaussian_mixture_target(3)
+        kernel = stage_kernel(fam, 2)
+        return kernel, fam.sample_initial(301, gen), part, _ref_rwm
+    if name == "flip":
+        fam, part = ising_target(7, 1.0)
+        kernel = stage_kernel(fam, 3)
+        return kernel, fam.sample_initial(301, gen), part, _ref_flip
+    walk, labels = _two_basin(12)
+    x = np.concatenate([np.zeros(100), np.full(100, 11), np.arange(12).repeat(9)])
+    return walk, x.astype(np.int64), index_partition(labels), _ref_walk
+
+
+class TestMetropolisDriver:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("name", ["rwm", "flip", "walk"])
+    def test_driver_equals_reference_loop(self, name, restricted, workers):
+        kernel, x, part, ref = _driver_case(name)
+        cells = part.classify(x)
+        part = part if restricted else None
+        got = kernel.mutate(
+            x, 12, _stream(61), cells=cells, partition=part, workers=workers
+        )
+        assert np.array_equal(got, ref(kernel, x, 12, _stream(61), cells, part))
+        one = kernel.step(x, _stream(62), cells=cells, partition=part)
+        assert np.array_equal(one, ref(kernel, x, 1, _stream(62), cells, part))
+
+    def test_walk_off_path_proposals_stay_put(self):
+        walk, _ = _two_basin(12)
+        x = np.repeat(np.array([0, 11]), 500)
+        moves = walk.draw_moves(_stream(63), 1, x.size)[0]
+        out = walk.step(x, _stream(63))
+        off = ((x == 0) & (moves < 0)) | ((x == 11) & (moves > 0))
+        assert off.sum() > 400
+        assert np.array_equal(out[off], x[off])
+        assert np.all((out >= 0) & (out < 12))
