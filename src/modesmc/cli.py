@@ -27,6 +27,7 @@ import argparse
 import copy
 import hashlib
 import itertools
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -107,6 +108,8 @@ _SCHEMA = {
 _LIMITS = {
     ("algorithm", "particles"): (lambda v: v >= 1, "must be at least 1"),
     ("algorithm", "mutation_steps"): (lambda v: v >= 0, "must be at least 0"),
+    ("algorithm", "sweeps"): (lambda v: v >= 0, "must be at least 0"),
+    ("algorithm", "replicates"): (lambda v: v >= 1, "must be at least 1"),
     ("algorithm", "seed"): (lambda v: 0 <= v < 2**64, "must be in 0..2**64-1"),
     ("algorithm", "engine"): (
         lambda v: v in ENGINE_MODES,
@@ -142,11 +145,18 @@ def validate_config(cfg: dict) -> dict:
         for sub, value in block.items():
             if sub not in allowed:
                 raise ConfigError(f"{key}.{sub}", "unknown key")
-            if value is not None and not isinstance(value, allowed[sub]):
+            if value is None:
+                continue
+            # YAML true/false pass isinstance(_, int); only bool fields take them
+            if not isinstance(value, allowed[sub]) or (
+                isinstance(value, bool) and allowed[sub] is not bool
+            ):
                 raise ConfigError(
                     f"{key}.{sub}",
                     f"expected {allowed[sub]}, got {type(value).__name__}",
                 )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key}.{sub}", f"must be finite, got {value!r}")
             _check_limit(key, sub, value, f"{key}.{sub}")
     return cfg
 
@@ -726,6 +736,7 @@ def main(argv=None) -> int:
 
     try:
         _check_limit("algorithm", "seed", args.seed, "--seed")
+        _check_limit("algorithm", "replicates", args.replicates, "--replicates")
         if args.threads < 1:
             raise ConfigError("--threads", f"must be at least 1, got {args.threads}")
         if args.command == "verify":

@@ -25,6 +25,50 @@ class InvalidStateError(ValueError):
     """A state outside the family's support (non-finite log density)."""
 
 
+# where _row_sum adds columns (see its docstring)
+_MAX_FLOAT_COLUMNS = 7
+_MAX_INT_COLUMNS = 15
+_ROWS_PER_COLUMN = 128
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of an (n, d) batch, bit for bit.
+
+    On a large batch of short rows, adding the d columns costs far less
+    than numpy's reduce along each short row, and gives the same bits
+    wherever the order of the adds is the same:
+
+    - float64 with d < 8: numpy adds a row of fewer than 8 entries left to
+      right, starting from its identity +0.0 (so a row of -0.0 sums to
+      +0.0, and NaN and inf combine in the same order); from 8 entries on
+      it sums pairwise with 8 accumulators, which column adds cannot match;
+    - integer or bool: integer sums are exact in any order.
+
+    The first column is summed by numpy itself, which supplies that +0.0
+    start and the dtype ``x.sum`` returns (int64 for int8 spins); the rest
+    are added to it left to right, one ufunc call each. That fixed cost per
+    column loses on small batches (a replica-exchange chain is one row) and
+    on wide integer rows, whose adds also cast to int64. Timed against
+    ``x.sum(axis=1)`` (numpy 2.4, AMD EPYC), the column adds win from 128
+    rows per column at widths 2 to 7 for float64 and 2 to 15 for int8, bool
+    and int64; they lose at width 1 and, for int8, from width 31. Anywhere
+    else, and for other float dtypes, this is ``x.sum(axis=1)``.
+    """
+    n, d = x.shape
+    if n < _ROWS_PER_COLUMN * d or d < 2:  # small batches pay one check
+        return x.sum(axis=1)
+    if x.dtype == np.float64:
+        max_d = _MAX_FLOAT_COLUMNS
+    else:
+        max_d = _MAX_INT_COLUMNS if x.dtype.kind in "biu" else 0
+    if d > max_d:
+        return x.sum(axis=1)
+    acc = x[:, :1].sum(axis=1)
+    for j in range(1, d):
+        acc += x[:, j]
+    return acc
+
+
 @dataclass(frozen=True)
 class Partition:
     """Total deterministic classifier of states into cells 0..n_cells-1."""
@@ -141,7 +185,7 @@ def half_space_partition(d: int) -> Partition:
 
     def classify(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.where(x.sum(axis=1) > 0.0, 0, 1)
+        return np.where(_row_sum(x) > 0.0, 0, 1)
 
     return Partition(n_cells=2, classify=classify, name=f"half-space(d={d})")
 
@@ -151,7 +195,7 @@ def spin_sign_partition(d: int) -> Partition:
 
     def classify(x):
         x = np.atleast_2d(np.asarray(x))
-        return np.where(x.sum(axis=1) >= 0, 0, 1)
+        return np.where(_row_sum(x) >= 0, 0, 1)
 
     return Partition(n_cells=2, classify=classify, name=f"spin-sign(d={d})")
 
@@ -194,10 +238,15 @@ def gaussian_mixture_target(
 
     def log_q(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        in_h = x.sum(axis=1) > 0.0
-        f1 = ((x - center) ** 2).sum(axis=1) * inv2s2
-        f2 = ((x + center) ** 2).sum(axis=1) * inv2s2
-        return np.where(in_h, logw1 - f1, logw2 - f2)
+        in_h = _row_sum(x) > 0.0
+        # one quadratic form about each row's own centre: x - (-c) is x + c
+        # exactly; z keeps x's memory layout, so a fallback sum reduces the
+        # same rows the same way as ((x -+ center) ** 2).sum(axis=1)
+        z = np.empty_like(x)
+        np.multiply(np.where(in_h, 1.0, -1.0)[:, None], center, out=z)
+        np.subtract(x, z, out=z)
+        f = _row_sum(np.multiply(z, z, out=z)) * inv2s2
+        return np.where(in_h, logw1 - f, logw2 - f)
 
     u = np.ones(d) / math.sqrt(d)
     m = nu * math.sqrt(d)
@@ -244,7 +293,7 @@ def ising_target(d: int, alpha: float) -> tuple:
 
     def log_q(x):
         x = np.atleast_2d(np.asarray(x))
-        s = x.sum(axis=1).astype(float)
+        s = _row_sum(x).astype(float)
         return coeff * s * s
 
     def sample_initial(n, rng):

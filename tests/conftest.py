@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,25 @@ def assert_frequencies_close(counts, probs, n_se=4.0):
     freq = counts / n
     se = np.sqrt(np.maximum(probs * (1 - probs), 1e-12) / n)
     assert np.all(np.abs(freq - probs) <= n_se * se + 1e-9), (freq, probs)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and raw bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_run(a, b):
+    """Two RunReports agree bit for bit.
+
+    Compares the final states and cells, every StepDiagnostics field of
+    every stage and log_z by dtype, shape and raw bytes, so a -0.0 against
+    a +0.0 or two different NaNs count as a difference.
+    """
+    for name in ("final_states", "final_cells", "log_z"):
+        assert same_bits(getattr(a, name), getattr(b, name)), name
+    assert len(a.diagnostics) == len(b.diagnostics)
+    for da, db in zip(a.diagnostics, b.diagnostics):
+        for f in dataclasses.fields(da):
+            x, y = getattr(da, f.name), getattr(db, f.name)
+            assert same_bits(x, y), (da.stage, f.name)

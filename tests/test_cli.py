@@ -137,6 +137,76 @@ class TestCommands:
         assert main(["run-smc", "--config", str(path), "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [
+            ("algorithm", "particles", True),
+            ("algorithm", "mutation_steps", False),
+            ("problem", "dimension", True),
+            ("problem", "alpha", True),
+        ],
+    )
+    def test_bool_in_numeric_field_exits_2(
+        self, tmp_path, capsys, block, key, value
+    ):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg[block][key] = value
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-smc", "--config", str(path)]) == 2
+        assert f"{block}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "family,key,value",
+        [
+            ("ising", "alpha", float("nan")),
+            ("ising", "alpha", float("inf")),
+            ("gaussian_mixture", "sigma", float("nan")),
+            ("gaussian_mixture", "center_scale", float("-inf")),
+        ],
+    )
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, family, key, value):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["problem"].update({"family": family, key: value})
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-smc", "--config", str(path)]) == 2
+        assert f"problem.{key}" in capsys.readouterr().err
+
+    def test_restricted_still_takes_bools(self, tmp_path):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["algorithm"]["restricted"] = False
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-smc", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("replicates", ["0", "-5"])
+    def test_invalid_replicates_flag_exits_2(self, tmp_path, capsys, replicates):
+        path = write_cfg(tmp_path, ISING_CFG)
+        argv = ["run-smc", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main([*argv, "--replicates", replicates]) == 2
+        assert "--replicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replicates", [0, -5])
+    def test_invalid_replicates_config_exits_2(self, tmp_path, capsys, replicates):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["algorithm"]["replicates"] = replicates
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-smc", "--config", str(path)]) == 2
+        assert "algorithm.replicates" in capsys.readouterr().err
+
+    def test_negative_sweeps_exits_2(self, tmp_path, capsys):
+        cfg = {
+            "problem": {"family": "four_state"},
+            "algorithm": {"method": "pt", "sweeps": -4, "seed": 3},
+        }
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-pt", "--config", str(path),
+                     "--out", str(tmp_path / "pt")]) == 2
+        assert "algorithm.sweeps" in capsys.readouterr().err
+        cfg["algorithm"]["sweeps"] = 0
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-pt", "--config", str(path),
+                     "--out", str(tmp_path / "pt")]) == 0
+
     def test_run_smc_outputs(self, tmp_path, capsys):
         path = write_cfg(tmp_path, ISING_CFG)
         out = tmp_path / "o"
@@ -277,6 +347,14 @@ class TestSweep:
         results = sweep_from_config(cfg, out_dir=tmp_path / "s")
         statuses = [r["status"] for r in results]
         assert statuses == ["ok", "config-error:problem.dimension"]
+
+    def test_invalid_replicates_points_are_config_errors(self, tmp_path):
+        cfg = self.base()
+        cfg["problem"]["dimension"] = 3
+        cfg["sweep"] = {"algorithm.replicates": [0, 1]}
+        results = sweep_from_config(cfg, out_dir=tmp_path / "s")
+        statuses = [r["status"] for r in results]
+        assert statuses == ["config-error:algorithm.replicates", "ok"]
 
     def test_empty_grid_writes_empty_table(self, tmp_path):
         cfg = self.base()

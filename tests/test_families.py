@@ -1,20 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import assert_same_run, same_bits
 from modesmc import (
     AnnealedFamily,
     InvalidStateError,
+    RunConfig,
     analytic_catalog,
     gaussian_mixture_target,
     geometric_schedule,
     index_family,
     ising_target,
     linear_schedule,
+    run,
 )
 from modesmc import rng as rngmod
+from modesmc.families import _row_sum
 
 
 class TestSchedules:
@@ -288,3 +293,187 @@ class TestFamilyValidation:
     def test_zero_beta_allowed_on_spin_spaces(self):
         fam, _ = ising_target(3, 1.0)
         assert fam.betas[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The hot closures before they summed rows by columns, kept as references.
+
+
+def reference_gaussian_log_q(d, w=0.5, sigma=1.0, nu=1.0):
+    center = nu * np.ones(d)
+    inv2s2 = 1.0 / (2.0 * sigma**2)
+    logw1, logw2 = math.log(w), math.log(1.0 - w)
+
+    def log_q(x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        in_h = x.sum(axis=1) > 0.0
+        f1 = ((x - center) ** 2).sum(axis=1) * inv2s2
+        f2 = ((x + center) ** 2).sum(axis=1) * inv2s2
+        return np.where(in_h, logw1 - f1, logw2 - f2)
+
+    return log_q
+
+
+def reference_half_space_classify(x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return np.where(x.sum(axis=1) > 0.0, 0, 1)
+
+
+def reference_spin_sign_classify(x):
+    x = np.atleast_2d(np.asarray(x))
+    return np.where(x.sum(axis=1) >= 0, 0, 1)
+
+
+def reference_ising_log_q(d, alpha):
+    coeff = alpha / (2.0 * d)
+
+    def log_q(x):
+        x = np.atleast_2d(np.asarray(x))
+        s = x.sum(axis=1).astype(float)
+        return coeff * s * s
+
+    return log_q
+
+
+def layouts(x):
+    """x as C-ordered, Fortran-ordered and strided (n, d) arrays."""
+    wide = np.repeat(x, 2, axis=1)
+    wide[:, 1::2] = 7.0
+    return [x, np.asfortranarray(x), wide[:, ::2]]
+
+
+def awkward_floats(rng, d):
+    """Wide dynamic range plus rows of -0.0, mixed zeros, inf and NaN."""
+    x = rng.standard_normal((3000, d)) * np.exp(rng.uniform(-40.0, 40.0, (3000, d)))
+    x[:100] = -0.0
+    x[100:200] = np.where(rng.random((100, d)) < 0.5, -0.0, 0.0)
+    x[200:220, 0] = np.inf
+    x[220:240, -1] = -np.inf
+    x[240:260, 0] = np.inf
+    x[240:260, -1] = -np.inf
+    x[260:280, d // 2] = np.nan
+    x[280:300] = x[280:300] * 1e270
+    return x
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_float64_matches_numpy_sum(self, d):
+        rng = np.random.default_rng(500 + d)
+        for x in layouts(awkward_floats(rng, d)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = _row_sum(x), x.sum(axis=1)
+            assert same_bits(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 7, 8, 15, 31, 64, 301])
+    def test_int8_spins_match_numpy_sum(self, d):
+        rng = np.random.default_rng(600 + d)
+        x = (rng.integers(0, 2, size=(2000, d)) * 2 - 1).astype(np.int8)
+        x[:10] = 1
+        x[10:20] = -1
+        for y in layouts(x):
+            assert same_bits(_row_sum(y), y.sum(axis=1))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64])
+    def test_other_integer_dtypes_match_numpy_sum(self, dtype):
+        rng = np.random.default_rng(700)
+        for d in (1, 3, 8, 15, 40):
+            x = rng.integers(0, 2 if dtype is bool else 100, size=(2000, d))
+            x = x.astype(dtype)
+            assert same_bits(_row_sum(x), x.sum(axis=1))
+
+    @pytest.mark.parametrize("dtype, d", [(np.float64, 2), (np.float64, 7), (np.int8, 15)])
+    def test_batches_either_side_of_the_row_threshold(self, dtype, d):
+        # small batches (one replica-exchange chain is one row) take the
+        # numpy reduce, large ones the column adds; both give numpy's bits
+        rng = np.random.default_rng(750 + d)
+        x = rng.standard_normal((128 * d + 1, d))
+        x[:2] = -0.0
+        x = x.astype(dtype) if dtype is np.float64 else np.sign(x).astype(dtype)
+        for n in (1, 2, 128 * d - 1, 128 * d, 128 * d + 1):
+            assert same_bits(_row_sum(x[:n]), x[:n].sum(axis=1))
+
+    def test_input_is_left_unchanged(self):
+        x = np.arange(12, dtype=np.int64).reshape(4, 3)
+        _row_sum(x)
+        assert np.array_equal(x, np.arange(12).reshape(4, 3))
+
+    def test_empty_shapes(self):
+        for shape in ((0, 3), (4, 0), (0, 9)):
+            for dtype in (float, np.int8):
+                x = np.zeros(shape, dtype=dtype)
+                assert same_bits(_row_sum(x), x.sum(axis=1))
+
+
+def boundary_floats(rng, d):
+    """Random points, points on the hyperplane sum(x) = 0, and zeros."""
+    x = rng.standard_normal((4000, d)) * rng.choice([0.01, 1.0, 30.0], (4000, 1))
+    x[:200, 1:] = rng.standard_normal((200, d - 1))
+    x[:200, 0] = -x[:200, 1:].sum(axis=1)  # sums that land near or on 0
+    x[200:300] = 0.0
+    x[300:400] = -0.0
+    x[400:500, : d // 2] = 1.0
+    x[400:500, d // 2 : 2 * (d // 2)] = -1.0
+    return x
+
+
+@pytest.mark.parametrize("d", [2, 5, 7, 8, 12])
+class TestClosuresMatchReference:
+    def test_gaussian_log_q(self, d):
+        fam, _ = gaussian_mixture_target(d, w=0.3, sigma=0.7, nu=1.3)
+        ref = reference_gaussian_log_q(d, w=0.3, sigma=0.7, nu=1.3)
+        rng = np.random.default_rng(800 + d)
+        stage = fam.sample_stage(fam.n_stages, 2000, rng)
+        for x in [*layouts(boundary_floats(rng, d)), stage]:
+            assert same_bits(fam.log_q(x), ref(x))
+
+    def test_half_space_classify(self, d):
+        _, part = gaussian_mixture_target(d)
+        rng = np.random.default_rng(900 + d)
+        for x in layouts(boundary_floats(rng, d)):
+            assert same_bits(part.classify(x), reference_half_space_classify(x))
+
+    def test_spin_closures(self, d):
+        # an even d is not a valid Ising family, but its classifier runs as is
+        fam, part = ising_target(d + 1 - d % 2, 0.9)
+        rng = np.random.default_rng(1000 + d)
+        x = (rng.integers(0, 2, size=(3000, d)) * 2 - 1).astype(np.int8)
+        for y in layouts(x):
+            assert same_bits(part.classify(y), reference_spin_sign_classify(y))
+        spins = fam.sample_initial(3000, rng)
+        ref = reference_ising_log_q(fam.dimension, 0.9)
+        for y in layouts(spins):
+            assert same_bits(fam.log_q(y), ref(y))
+
+
+class TestRunsMatchReferenceClosures:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind", ["gaussian", "ising"])
+    def test_run_is_byte_identical(self, kind, workers):
+        if kind == "gaussian":
+            fam, part = gaussian_mixture_target(5)
+            ref_fam = dataclasses.replace(fam, log_q=reference_gaussian_log_q(5))
+            ref_classify = reference_half_space_classify
+        else:
+            fam, part = ising_target(15, 1.0)
+            ref_fam = dataclasses.replace(fam, log_q=reference_ising_log_q(15, 1.0))
+            ref_classify = reference_spin_sign_classify
+        ref_part = dataclasses.replace(part, classify=ref_classify)
+        reports = [
+            # 6000 rows keep each of 3 workers' batches on the column path
+            run(RunConfig(family=f, partition=p, n_particles=6000,
+                          mutation_steps=4, seed=1234, workers=workers))
+            for f, p in ((fam, part), (ref_fam, ref_part))
+        ]
+        assert_same_run(*reports)
+
+    def test_same_run_check_sees_a_different_seed(self):
+        fam, part = ising_target(5, 1.0)
+        a, b = (
+            run(RunConfig(family=fam, partition=part, n_particles=200,
+                          mutation_steps=4, seed=seed))
+            for seed in (1, 2)
+        )
+        with pytest.raises(AssertionError):
+            assert_same_run(a, b)
