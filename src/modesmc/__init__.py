@@ -89,11 +89,7 @@ from .checks import (
 )
 from .tempering import (
     ModeCrossingReport,
-    ReplicaSystem,
-    STState,
     mode_crossing_report,
     pt_run,
-    pt_step,
     st_run,
-    st_step,
 )

@@ -109,6 +109,7 @@ _LIMITS = {
     ("algorithm", "particles"): (lambda v: v >= 1, "must be at least 1"),
     ("algorithm", "mutation_steps"): (lambda v: v >= 0, "must be at least 0"),
     ("algorithm", "sweeps"): (lambda v: v >= 0, "must be at least 0"),
+    ("algorithm", "step_size"): (lambda v: v > 0, "must be positive"),
     ("algorithm", "replicates"): (lambda v: v >= 1, "must be at least 1"),
     ("algorithm", "seed"): (lambda v: 0 <= v < 2**64, "must be in 0..2**64-1"),
     ("algorithm", "engine"): (
@@ -346,8 +347,16 @@ def _st_pseudo_priors(cfg, family, partition):
     algo = cfg.get("algorithm", {})
     given = algo.get("pseudo_priors")
     if given is not None:
-        arr = np.log(np.asarray(given, dtype=float))
-        return arr
+        n = family.n_stages + 1
+        if len(given) != n or not all(
+            isinstance(p, (int, float)) and not isinstance(p, bool)
+            and 0 < p <= sys.float_info.max
+            for p in given
+        ):
+            raise ConfigError(
+                "algorithm.pseudo_priors", f"must be {n} finite positive numbers"
+            )
+        return np.log(np.asarray(given, dtype=float))
     # default: the engine's own running normalizing-constant estimates
     config = RunConfig(
         family=family,
@@ -388,14 +397,15 @@ def run_tempering_from_config(cfg: dict, out_dir: Path | None = None):
         )
     elif method == "st":
         log_pseudo = _st_pseudo_priors(cfg, family, partition)
-        result = tempering.st_run(family, sweeps, seed, log_pseudo)
+        result = tempering.st_run(
+            family, sweeps, seed, log_pseudo, step_size=algo.get("step_size")
+        )
+        occupancy = result.temp_counts / sweeps if sweeps else []
         summary.update(
             {
                 "method": "st",
                 "sweeps": sweeps,
-                "temperature_occupancy": [
-                    float(x) for x in result.temp_counts / result.temp_counts.sum()
-                ],
+                "temperature_occupancy": [float(x) for x in occupancy],
                 "pseudo_priors_log": [float(x) for x in log_pseudo],
             }
         )

@@ -1,16 +1,34 @@
 """Replica-exchange and single-chain tempering baselines.
 
 Standard community move sets over the same annealed family the particle
-engine uses: replica exchange keeps one chain per inverse temperature and
-proposes one uniformly chosen adjacent swap per sweep; single-chain
-tempering augments the state with a temperature index moved by Metropolis
-jumps against pseudo-priors. Both exist to contrast mixing behavior with
-the restricted-kernel engine on the same targets.
+engine uses: replica exchange (PT) keeps one chain per inverse temperature
+and proposes one uniformly chosen adjacent swap per sweep; single-chain
+tempering (ST) augments the state with a temperature index moved by
+Metropolis jumps against pseudo-priors. Both exist to contrast mixing
+behavior with the restricted-kernel engine on the same targets.
+
+One loop of each serves every family: chains cache their ``log q`` and
+move by the stage kernel's ``draw_moves`` and ``propose`` (Gaussian moves
+at unit scale, times each level's proposal std); PT moves all chains as
+one batch.
+
+Stream layout. INIT gives the initial states, one ``sample_initial(1)``
+call per chain; the rest is drawn per block of sweeps. PT draws the move
+block and then the acceptance uniforms from CHAIN, and the pair indices
+and then their uniforms from SWAP. ST draws the moves, the move uniforms,
+the jump signs and then the jump uniforms from CHAIN. A block holds at
+most 8192 sweeps, fewer when its moves (``block * n_chains * d``
+numbers) would pass ``_BLOCK_VALUES``.
+
+Accept rules: a PT move if log u < b*lq(y) - b*lq(x), an ST move if
+log u < b*(lq(y) - lq(x)), an ST jump from level k to j if
+log u < (b_j - b_k)*lq + (psi_j - psi_k). The two move forms have one law
+but may round differently; each keeps the arithmetic of the scalar loops
+enumerated families had before, so those outputs stay byte-identical.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,43 +38,34 @@ from . import rng as rngmod
 from .families import AnnealedFamily, Partition
 from .kernels import stage_kernel
 
-
-@dataclass
-class ReplicaSystem:
-    """One chain per temperature plus adjacent-swap statistics."""
-
-    states: list  # entry v is a (1, d) or (1,) batch targeting stage v
-    swap_attempts: np.ndarray
-    swap_accepts: np.ndarray
+_MAX_BLOCK = 8192
+_BLOCK_VALUES = 1 << 22  # one block of moves: 32 MiB of float64
 
 
-def swap_log_ratio(family: AnnealedFamily, k: int, x_lo, x_hi) -> float:
-    """Log Metropolis ratio for exchanging the chains at stages k, k+1."""
-    lq_lo = float(family.log_q(x_lo)[0])
-    lq_hi = float(family.log_q(x_hi)[0])
-    return (family.betas[k + 1] - family.betas[k]) * (lq_lo - lq_hi)
+def _chains(family: AnnealedFamily, step_size, seed: int, n_chains: int):
+    """Move kernel, level move scales, block size, initial states, histogram.
 
-
-def pt_step(system: ReplicaSystem, family, kernels, rng) -> ReplicaSystem:
-    """One sweep: advance every chain one kernel step, then try one swap."""
-    n_temps = len(system.states)
-    for v in range(n_temps):
-        system.states[v] = kernels[v].step(system.states[v], rng)
-    k = int(rng.integers(0, n_temps - 1))
-    logu = math.log(rng.random())
-    system.swap_attempts[k] += 1
-    if logu < swap_log_ratio(family, k, system.states[k], system.states[k + 1]):
-        system.states[k], system.states[k + 1] = (
-            system.states[k + 1],
-            system.states[k],
-        )
-        system.swap_accepts[k] += 1
-    return system
+    The histogram counts (level, state) visits on enumerated families and
+    is None on the others.
+    """
+    n_temps = len(family.betas)
+    kernel = stage_kernel(family, n_temps - 1, step_size=1.0)
+    scale = None  # Gaussian moves: each level's proposal std
+    if family.kind == "real":
+        scale = np.array([stage_kernel(family, v, step_size).proposal_std
+                          for v in range(n_temps)])
+    block = max(1, min(_MAX_BLOCK, _BLOCK_VALUES // (n_chains * family.dimension)))
+    init = rngmod.stream(seed, 0, rngmod.INIT)
+    x = np.concatenate([family.sample_initial(1, init) for _ in range(n_chains)])
+    counts = None
+    if family.kind == "index":
+        counts = np.zeros((n_temps, family.index_log_mass.size), dtype=np.int64)
+    return kernel, scale, block, np.asarray(x, dtype=kernel.dtype), counts
 
 
 @dataclass
 class PTResult:
-    system: ReplicaSystem
+    states: np.ndarray  # final chains, row v at betas[v]
     n_sweeps: int
     swap_attempts: np.ndarray
     swap_accepts: np.ndarray
@@ -65,222 +74,119 @@ class PTResult:
 
     @property
     def swap_acceptance(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return self.swap_accepts / np.maximum(self.swap_attempts, 1)
+        return self.swap_accepts / np.maximum(self.swap_attempts, 1)
 
 
-def pt_run(
-    family: AnnealedFamily,
-    n_sweeps: int,
-    seed: int,
-    step_size: Optional[float] = None,
-    record_target_trace: bool = False,
-) -> PTResult:
-    """Run replica exchange for n_sweeps; deterministic given the seed."""
-    if family.kind == "index":
-        return _pt_run_index(family, n_sweeps, seed, record_target_trace)
-    n_temps = family.n_stages + 1
-    kernels = [stage_kernel(family, v, step_size=step_size) for v in range(n_temps)]
-    init = rngmod.stream(seed, 0, rngmod.INIT)
-    system = ReplicaSystem(
-        states=[family.sample_initial(1, init) for _ in range(n_temps)],
-        swap_attempts=np.zeros(n_temps - 1, dtype=np.int64),
-        swap_accepts=np.zeros(n_temps - 1, dtype=np.int64),
-    )
-    gen = rngmod.stream(seed, 0, rngmod.CHAIN)
-    trace = [] if record_target_trace else None
-    for _ in range(n_sweeps):
-        system = pt_step(system, family, kernels, gen)
-        if record_target_trace:
-            trace.append(system.states[-1][0].copy())
-    return PTResult(
-        system=system,
-        n_sweeps=n_sweeps,
-        swap_attempts=system.swap_attempts,
-        swap_accepts=system.swap_accepts,
-        target_trace=np.stack(trace) if record_target_trace else None,
-    )
+def pt_run(family: AnnealedFamily, n_sweeps: int, seed: int,
+           step_size: Optional[float] = None,
+           record_target_trace: bool = False) -> PTResult:
+    """Run replica exchange for n_sweeps; deterministic given the seed.
 
-
-def _pt_run_index(family, n_sweeps, seed, record_target_trace, block=8192):
-    """Vectorized replica exchange on an enumerated space.
-
-    All chains advance simultaneously with per-chain noise lanes drawn in
-    blocks; the serial swap barrier runs per sweep.
+    A sweep advances every chain one kernel step, then proposes one
+    uniformly chosen adjacent swap.
     """
-    lm_base = family.index_log_mass
-    n_states = lm_base.size
     betas = np.asarray(family.betas)
-    n_temps = betas.size
-    lm = betas[:, None] * lm_base[None, :]  # (n_temps, n_states)
-    init = rngmod.stream(seed, 0, rngmod.INIT)
-    chains = np.array([family.sample_initial(1, init)[0] for _ in range(n_temps)])
-    attempts = np.zeros(n_temps - 1, dtype=np.int64)
-    accepts = np.zeros(n_temps - 1, dtype=np.int64)
-    counts = np.zeros((n_temps, n_states), dtype=np.int64)
-    trace = np.empty(n_sweeps, dtype=np.int64) if record_target_trace else None
+    n = betas.size
+    kernel, scale, block, x, counts = _chains(family, step_size, seed, n)
+    lq = np.asarray(family.log_q(x), dtype=float)
+    attempts = np.zeros(n - 1, dtype=np.int64)
+    accepts = np.zeros(n - 1, dtype=np.int64)
+    trace = None
+    if record_target_trace:
+        trace = np.empty((n_sweeps, *x.shape[1:]), x.dtype)
     gen = rngmod.stream(seed, 0, rngmod.CHAIN)
     sgen = rngmod.stream(seed, 0, rngmod.SWAP)
-    rows = np.arange(n_temps)
-    done = 0
-    while done < n_sweeps:
+    for done in range(0, n_sweeps, block):
         b = min(block, n_sweeps - done)
-        dirs = gen.integers(0, 2, size=(b, n_temps)) * 2 - 1
-        logu = np.log(gen.random((b, n_temps)))
-        pair = sgen.integers(0, n_temps - 1, size=b)
-        slogu = np.log(sgen.random(b))
-        for s in range(b):
-            y = chains + dirs[s]
-            valid = (y >= 0) & (y < n_states)
-            ysafe = np.where(valid, y, chains)
-            acc = valid & (logu[s] < lm[rows, ysafe] - lm[rows, chains])
-            chains = np.where(acc, ysafe, chains)
-            k = pair[s]
-            attempts[k] += 1
-            dlog = (betas[k + 1] - betas[k]) * (
-                lm_base[chains[k]] - lm_base[chains[k + 1]]
-            )
-            if slogu[s] < dlog:
-                chains[k], chains[k + 1] = chains[k + 1], chains[k]
+        moves = kernel.draw_moves(gen, b, n)
+        if scale is not None:
+            moves *= scale[:, None]
+        logu = np.log(gen.random((b, n)))
+        pair = sgen.integers(0, n - 1, size=b)
+        slogu = np.log(sgen.random(b)).tolist()
+        held = np.empty((b, *x.shape), x.dtype)
+        for s, k in enumerate(pair.tolist()):
+            y = kernel.propose(x, moves[s])
+            lq_y = np.asarray(family.log_q(y), dtype=float)
+            acc = logu[s] < betas * lq_y - betas * lq
+            x[acc] = y[acc]
+            lq[acc] = lq_y[acc]
+            if slogu[s] < (betas[k + 1] - betas[k]) * (lq[k] - lq[k + 1]):
+                x[[k, k + 1]] = x[[k + 1, k]]
+                lq[[k, k + 1]] = lq[[k + 1, k]]
                 accepts[k] += 1
-            counts[rows, chains] += 1
-            if record_target_trace:
-                trace[done + s] = chains[-1]
-        done += b
-    system = ReplicaSystem(
-        states=[chains[v : v + 1].copy() for v in range(n_temps)],
-        swap_attempts=attempts,
-        swap_accepts=accepts,
-    )
-    return PTResult(
-        system=system,
-        n_sweeps=n_sweeps,
-        swap_attempts=attempts,
-        swap_accepts=accepts,
-        target_trace=trace,
-        marginal_counts=counts,
-    )
-
-
-@dataclass
-class STState:
-    """A single chain state plus its current temperature index."""
-
-    state: np.ndarray  # batch of one
-    temp: int
-
-
-def st_step(st: STState, family, kernels, log_pseudo, rng) -> STState:
-    """One sweep: kernel step at the current temperature, then a +-1 jump.
-
-    Jumps propose up/down with probability 1/2 each; proposals off the
-    ladder are rejected, which keeps the joint chain reversible for the
-    law with per-temperature pseudo-prior weights.
-    """
-    st.state = kernels[st.temp].step(st.state, rng)
-    prop = st.temp + (1 if rng.random() < 0.5 else -1)
-    if 0 <= prop < len(family.betas):
-        lq = float(family.log_q(st.state)[0])
-        dlog = (
-            (family.betas[prop] - family.betas[st.temp]) * lq
-            + log_pseudo[prop]
-            - log_pseudo[st.temp]
-        )
-        if math.log(rng.random()) < dlog:
-            st.temp = prop
-    return st
+            held[s] = x
+        attempts += np.bincount(pair, minlength=n - 1)
+        if trace is not None:
+            trace[done : done + b] = held[:, -1]
+        if counts is not None:
+            np.add.at(counts, (np.arange(n), held), 1)
+    return PTResult(x, n_sweeps, attempts, accepts, trace, counts)
 
 
 @dataclass
 class STResult:
     n_sweeps: int
     temp_counts: np.ndarray
-    final: STState
+    state: np.ndarray  # final state, a batch of one
+    temp: int  # final temperature index
     marginal_counts: Optional[np.ndarray] = None  # per-temp state histogram
     temp_trace: Optional[np.ndarray] = None
 
 
-def st_run(
-    family: AnnealedFamily,
-    n_sweeps: int,
-    seed: int,
-    log_pseudo,
-    step_size: Optional[float] = None,
-    record_temp_trace: bool = False,
-) -> STResult:
-    """Run single-chain tempering; log_pseudo is one weight per stage."""
+def st_run(family: AnnealedFamily, n_sweeps: int, seed: int, log_pseudo,
+           step_size: Optional[float] = None,
+           record_temp_trace: bool = False) -> STResult:
+    """Run single-chain tempering; log_pseudo is one weight per stage.
+
+    A sweep takes one kernel step at the current temperature, then
+    proposes a jump up or down with probability 1/2 each; jumps off the
+    ladder are rejected, which keeps the joint chain reversible for the
+    law with per-temperature pseudo-prior weights.
+    """
     log_pseudo = np.asarray(log_pseudo, dtype=float)
     if log_pseudo.shape != (family.n_stages + 1,):
         raise ValueError("need one pseudo-prior weight per stage")
-    if family.kind == "index":
-        return _st_run_index(family, n_sweeps, seed, log_pseudo, record_temp_trace)
-    kernels = [
-        stage_kernel(family, v, step_size=step_size)
-        for v in range(family.n_stages + 1)
-    ]
-    init = rngmod.stream(seed, 0, rngmod.INIT)
-    st = STState(state=family.sample_initial(1, init), temp=0)
-    gen = rngmod.stream(seed, 0, rngmod.CHAIN)
-    temp_counts = np.zeros(family.n_stages + 1, dtype=np.int64)
-    trace = np.empty(n_sweeps, dtype=np.int64) if record_temp_trace else None
-    for s in range(n_sweeps):
-        st = st_step(st, family, kernels, log_pseudo, gen)
-        temp_counts[st.temp] += 1
-        if record_temp_trace:
-            trace[s] = st.temp
-    return STResult(
-        n_sweeps=n_sweeps, temp_counts=temp_counts, final=st, temp_trace=trace
-    )
-
-
-def _st_run_index(family, n_sweeps, seed, log_pseudo, record_temp_trace, block=8192):
-    lm_base = family.index_log_mass
-    n_states = lm_base.size
     betas = family.betas
     n_temps = len(betas)
-    init = rngmod.stream(seed, 0, rngmod.INIT)
-    x = int(family.sample_initial(1, init)[0])
+    kernel, scale, block, x, counts = _chains(family, step_size, seed, 1)
+    lq = family.log_q(x)[0]
     k = 0
-    gen = rngmod.stream(seed, 0, rngmod.CHAIN)
     temp_counts = np.zeros(n_temps, dtype=np.int64)
-    marginal = np.zeros((n_temps, n_states), dtype=np.int64)
     trace = np.empty(n_sweeps, dtype=np.int64) if record_temp_trace else None
-    done = 0
-    while done < n_sweeps:
+    gen = rngmod.stream(seed, 0, rngmod.CHAIN)
+    for done in range(0, n_sweeps, block):
         b = min(block, n_sweeps - done)
-        dirs = gen.integers(0, 2, size=b) * 2 - 1
-        logu1 = np.log(gen.random(b))
-        jumps = gen.integers(0, 2, size=b) * 2 - 1
-        logu2 = np.log(gen.random(b))
+        moves = kernel.draw_moves(gen, b, 1)
+        logu = np.log(gen.random(b)).tolist()
+        jumps = (gen.integers(0, 2, size=b) * 2 - 1).tolist()
+        logj = np.log(gen.random(b)).tolist()
+        temps = np.empty(b, dtype=np.int64)
+        held = np.empty((b, *x.shape), x.dtype)
         for s in range(b):
-            y = x + int(dirs[s])
-            if 0 <= y < n_states and logu1[s] < betas[k] * (lm_base[y] - lm_base[x]):
-                x = y
-            kp = k + int(jumps[s])
-            if 0 <= kp < n_temps:
-                dlog = (betas[kp] - betas[k]) * lm_base[x] + (
-                    log_pseudo[kp] - log_pseudo[k]
-                )
-                if logu2[s] < dlog:
-                    k = kp
-            temp_counts[k] += 1
-            marginal[k, x] += 1
-            if record_temp_trace:
-                trace[done + s] = k
-        done += b
-    return STResult(
-        n_sweeps=n_sweeps,
-        temp_counts=temp_counts,
-        final=STState(state=np.array([x]), temp=k),
-        marginal_counts=marginal,
-        temp_trace=trace,
-    )
+            move = moves[s] if scale is None else moves[s] * scale[k]
+            y = kernel.propose(x, move)
+            lq_y = family.log_q(y)[0]
+            if logu[s] < betas[k] * (lq_y - lq):
+                x, lq = y, lq_y
+            j = k + jumps[s]
+            if 0 <= j < n_temps and logj[s] < (betas[j] - betas[k]) * lq + (
+                    log_pseudo[j] - log_pseudo[k]):
+                k = j
+            temps[s] = k
+            held[s] = x
+        temp_counts += np.bincount(temps, minlength=n_temps)
+        if trace is not None:
+            trace[done : done + b] = temps
+        if counts is not None:
+            np.add.at(counts, (temps, held[:, 0]), 1)
+    return STResult(n_sweeps, temp_counts, x, k, counts, trace)
 
 
 @dataclass(frozen=True)
 class ModeCrossingReport:
     crossings_per_sweep: float
-    occupancy: np.ndarray
+    occupancy: np.ndarray  # per-cell fraction of the trace; empty for no sweeps
     n_sweeps: int
 
 
@@ -289,8 +195,5 @@ def mode_crossing_report(trace, partition: Partition) -> ModeCrossingReport:
     labels = partition.classify(np.asarray(trace))
     n = labels.shape[0]
     crossings = int((labels[1:] != labels[:-1]).sum())
-    return ModeCrossingReport(
-        crossings_per_sweep=crossings / max(1, n - 1),
-        occupancy=np.bincount(labels, minlength=partition.n_cells) / n,
-        n_sweeps=n,
-    )
+    occupancy = np.bincount(labels, minlength=partition.n_cells) / n if n else []
+    return ModeCrossingReport(crossings / max(1, n - 1), np.asarray(occupancy), n)

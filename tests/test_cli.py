@@ -272,6 +272,81 @@ class TestCommands:
         summary = yaml.safe_load((tmp_path / "st" / "summary.yaml").read_text())
         assert len(summary["temperature_occupancy"]) == 4
 
+    def test_zero_sweeps_write_empty_occupancy(self, tmp_path):
+        cfg = {
+            "problem": {"family": "four_state"},
+            "algorithm": {"method": "pt", "sweeps": 0, "seed": 3},
+        }
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-pt", "--config", str(path),
+                     "--out", str(tmp_path / "pt")]) == 0
+        summary = yaml.safe_load((tmp_path / "pt" / "summary.yaml").read_text())
+        assert summary["occupancy"] == []
+        assert summary["crossings_per_sweep"] == 0.0
+        cfg["algorithm"].update(method="st", pseudo_priors=[1, 1, 1, 1])
+        path = write_cfg(tmp_path, cfg, "st.yaml")
+        assert main(["run-st", "--config", str(path),
+                     "--out", str(tmp_path / "st")]) == 0
+        summary = yaml.safe_load((tmp_path / "st" / "summary.yaml").read_text())
+        assert summary["temperature_occupancy"] == []
+
+    def test_run_st_honours_step_size(self, tmp_path):
+        occupancies = []
+        for step in (0.001, 5.0):
+            cfg = {
+                "problem": {"family": "gaussian_mixture", "dimension": 5},
+                "algorithm": {
+                    "method": "st", "sweeps": 2_000, "seed": 3, "step_size": step,
+                    "particles": 200, "mutation_steps": 5,
+                },
+            }
+            path = write_cfg(tmp_path, cfg)
+            out = tmp_path / f"st-{step}"
+            assert main(["run-st", "--config", str(path), "--out", str(out)]) == 0
+            summary = yaml.safe_load((out / "summary.yaml").read_text())
+            occupancies.append(summary["temperature_occupancy"])
+        assert occupancies[0] != occupancies[1]
+
+    @pytest.mark.parametrize("command", ["run-smc", "run-pt", "run-st"])
+    @pytest.mark.parametrize("step", [0, -0.5])
+    def test_nonpositive_step_size_exits_2(self, tmp_path, capsys, command, step):
+        cfg = {
+            "problem": {"family": "gaussian_mixture", "dimension": 3},
+            "algorithm": {
+                "method": command[4:], "particles": 100, "mutation_steps": 2,
+                "sweeps": 10, "seed": 3, "step_size": step,
+            },
+        }
+        path = write_cfg(tmp_path, cfg)
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "algorithm.step_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "priors",
+        [
+            [1.0, 1.0],  # four_state has 4 levels
+            [1.0, "heavy", 1.0, 1.0],
+            [1.0, -2.0, 1.0, 1.0],
+            [1.0, 0.0, 1.0, 1.0],
+            [1.0, True, 1.0, 1.0],
+            [1.0, float("nan"), 1.0, 1.0],
+            [1.0, float("inf"), 1.0, 1.0],
+        ],
+        ids=["length", "text", "negative", "zero", "bool", "nan", "inf"],
+    )
+    def test_invalid_pseudo_priors_exit_2(self, tmp_path, capsys, priors):
+        cfg = {
+            "problem": {"family": "four_state"},
+            "algorithm": {
+                "method": "st", "sweeps": 100, "seed": 3, "pseudo_priors": priors,
+            },
+        }
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-st", "--config", str(path),
+                     "--out", str(tmp_path / "st")]) == 2
+        assert "algorithm.pseudo_priors" in capsys.readouterr().err
+
     def test_method_mismatch_rejected(self, tmp_path):
         cfg = {
             "problem": {"family": "four_state"},
@@ -355,6 +430,18 @@ class TestSweep:
         results = sweep_from_config(cfg, out_dir=tmp_path / "s")
         statuses = [r["status"] for r in results]
         assert statuses == ["config-error:algorithm.replicates", "ok"]
+
+    def test_nonpositive_step_size_points_are_config_errors(self, tmp_path):
+        cfg = {
+            "problem": {"family": "gaussian_mixture", "dimension": 3},
+            "algorithm": {
+                "method": "smc", "particles": 100, "mutation_steps": 2, "seed": 5,
+            },
+            "sweep": {"algorithm.step_size": [0.0, 0.5]},
+        }
+        results = sweep_from_config(cfg, out_dir=tmp_path / "s")
+        statuses = [r["status"] for r in results]
+        assert statuses == ["config-error:algorithm.step_size", "ok"]
 
     def test_empty_grid_writes_empty_table(self, tmp_path):
         cfg = self.base()

@@ -2,51 +2,145 @@ import numpy as np
 import pytest
 
 from modesmc import (
+    gaussian_mixture_target,
+    ising_space,
     ising_target,
     mode_crossing_report,
     overlap_discrete,
     pt_run,
-    pt_step,
+    random_tempered_space,
+    reference_four_state,
     st_run,
-    st_step,
     tv_distance,
 )
 from modesmc import rng as rngmod
-from modesmc.tempering import ReplicaSystem, STState, swap_log_ratio
-from modesmc.kernels import stage_kernel
 
 
-class TestSwapRule:
-    def test_equal_states_always_swap(self, space):
-        fam = space.to_family()
-        x = np.array([2])
-        assert swap_log_ratio(fam, 1, x, x) == 0.0
+# ---------------------------------------------------------------------------
+# Reference loops: the scalar per-family loops that served enumerated spaces
+# before one blocked loop served every family. Kept verbatim in substance
+# (same draws, same arithmetic) so the blocked loops can be checked bit for
+# bit on enumerated families.
 
-    def test_orientation_symmetry(self, space):
-        # naming the pair (k, k+1) or (k+1, k) gives the same acceptance
-        fam = space.to_family()
-        gen = rngmod.stream(11, 0, rngmod.REPLICATE)
-        for _ in range(200):
-            k = int(gen.integers(0, fam.n_stages))
-            x, y = gen.integers(0, 4, size=2)
-            forward = swap_log_ratio(fam, k, np.array([x]), np.array([y]))
-            lq_x = fam.log_q(np.array([x]))[0]
-            lq_y = fam.log_q(np.array([y]))[0]
-            backward = (fam.betas[k] - fam.betas[k + 1]) * (lq_y - lq_x)
-            assert np.isclose(forward, backward, atol=1e-14)
 
-    def test_pt_step_advances_all_chains(self, space):
-        fam = space.to_family()
-        kernels = [stage_kernel(fam, v) for v in range(fam.n_stages + 1)]
-        system = ReplicaSystem(
-            states=[np.array([0]), np.array([1]), np.array([2]), np.array([3])],
-            swap_attempts=np.zeros(3, dtype=np.int64),
-            swap_accepts=np.zeros(3, dtype=np.int64),
+def reference_pt_index(family, n_sweeps, seed, block=8192):
+    lm_base = family.index_log_mass
+    n_states = lm_base.size
+    betas = np.asarray(family.betas)
+    n_temps = betas.size
+    lm = betas[:, None] * lm_base[None, :]
+    init = rngmod.stream(seed, 0, rngmod.INIT)
+    chains = np.array([family.sample_initial(1, init)[0] for _ in range(n_temps)])
+    attempts = np.zeros(n_temps - 1, dtype=np.int64)
+    accepts = np.zeros(n_temps - 1, dtype=np.int64)
+    counts = np.zeros((n_temps, n_states), dtype=np.int64)
+    trace = np.empty(n_sweeps, dtype=np.int64)
+    gen = rngmod.stream(seed, 0, rngmod.CHAIN)
+    sgen = rngmod.stream(seed, 0, rngmod.SWAP)
+    rows = np.arange(n_temps)
+    done = 0
+    while done < n_sweeps:
+        b = min(block, n_sweeps - done)
+        dirs = gen.integers(0, 2, size=(b, n_temps)) * 2 - 1
+        logu = np.log(gen.random((b, n_temps)))
+        pair = sgen.integers(0, n_temps - 1, size=b)
+        slogu = np.log(sgen.random(b))
+        for s in range(b):
+            y = chains + dirs[s]
+            valid = (y >= 0) & (y < n_states)
+            ysafe = np.where(valid, y, chains)
+            acc = valid & (logu[s] < lm[rows, ysafe] - lm[rows, chains])
+            chains = np.where(acc, ysafe, chains)
+            k = pair[s]
+            attempts[k] += 1
+            dlog = (betas[k + 1] - betas[k]) * (
+                lm_base[chains[k]] - lm_base[chains[k + 1]]
+            )
+            if slogu[s] < dlog:
+                chains[k], chains[k + 1] = chains[k + 1], chains[k]
+                accepts[k] += 1
+            counts[rows, chains] += 1
+            trace[done + s] = chains[-1]
+        done += b
+    return chains, attempts, accepts, counts, trace
+
+
+def reference_st_index(family, n_sweeps, seed, log_pseudo, block=8192):
+    lm_base = family.index_log_mass
+    n_states = lm_base.size
+    betas = family.betas
+    n_temps = len(betas)
+    init = rngmod.stream(seed, 0, rngmod.INIT)
+    x = int(family.sample_initial(1, init)[0])
+    k = 0
+    gen = rngmod.stream(seed, 0, rngmod.CHAIN)
+    temp_counts = np.zeros(n_temps, dtype=np.int64)
+    marginal = np.zeros((n_temps, n_states), dtype=np.int64)
+    trace = np.empty(n_sweeps, dtype=np.int64)
+    done = 0
+    while done < n_sweeps:
+        b = min(block, n_sweeps - done)
+        dirs = gen.integers(0, 2, size=b) * 2 - 1
+        logu1 = np.log(gen.random(b))
+        jumps = gen.integers(0, 2, size=b) * 2 - 1
+        logu2 = np.log(gen.random(b))
+        for s in range(b):
+            y = x + int(dirs[s])
+            if 0 <= y < n_states and logu1[s] < betas[k] * (lm_base[y] - lm_base[x]):
+                x = y
+            kp = k + int(jumps[s])
+            if 0 <= kp < n_temps:
+                dlog = (betas[kp] - betas[k]) * lm_base[x] + (
+                    log_pseudo[kp] - log_pseudo[k]
+                )
+                if logu2[s] < dlog:
+                    k = kp
+            temp_counts[k] += 1
+            marginal[k, x] += 1
+            trace[done + s] = k
+        done += b
+    return x, k, temp_counts, marginal, trace
+
+
+def _enumerated_spaces():
+    gen = rngmod.stream(606, 0, rngmod.REPLICATE)
+    return [random_tempered_space(gen) for _ in range(3)]
+
+
+IDENTITY_SWEEPS = 20_001  # crosses the 8192-sweep block edge twice
+
+
+class TestMatchesReferenceLoops:
+    @pytest.fixture(params=["four_state", "random-0", "random-1", "random-2"])
+    def family(self, request, space):
+        if request.param == "four_state":
+            return space.to_family()
+        return _enumerated_spaces()[int(request.param[-1])].to_family()
+
+    def test_pt_identical(self, family):
+        chains, attempts, accepts, counts, trace = reference_pt_index(
+            family, IDENTITY_SWEEPS, seed=17
         )
-        gen = rngmod.stream(12, 0, rngmod.REPLICATE)
-        for _ in range(50):
-            system = pt_step(system, fam, kernels, gen)
-        assert system.swap_attempts.sum() == 50
+        r = pt_run(family, IDENTITY_SWEEPS, seed=17, record_target_trace=True)
+        assert np.array_equal(r.states, chains)
+        assert np.array_equal(r.swap_attempts, attempts)
+        assert np.array_equal(r.swap_accepts, accepts)
+        assert np.array_equal(r.marginal_counts, counts)
+        assert np.array_equal(r.target_trace, trace)
+        assert r.target_trace.dtype == trace.dtype
+
+    def test_st_identical(self, family):
+        gen = rngmod.stream(18, 0, rngmod.REPLICATE)
+        log_pseudo = gen.normal(0.0, 0.5, size=len(family.betas))
+        x, k, temp_counts, marginal, trace = reference_st_index(
+            family, IDENTITY_SWEEPS, 19, log_pseudo
+        )
+        r = st_run(family, IDENTITY_SWEEPS, 19, log_pseudo, record_temp_trace=True)
+        assert np.array_equal(r.state, [x])
+        assert r.temp == k
+        assert np.array_equal(r.temp_counts, temp_counts)
+        assert np.array_equal(r.marginal_counts, marginal)
+        assert np.array_equal(r.temp_trace, trace)
 
 
 class TestPTMarginals:
@@ -69,6 +163,73 @@ class TestPTMarginals:
         b = pt_run(space.to_family(), 10_000, seed=5)
         assert np.array_equal(a.marginal_counts, b.marginal_counts)
         assert np.array_equal(a.swap_accepts, b.swap_accepts)
+
+
+def _families():
+    return {
+        "index": reference_four_state().to_family(),
+        "spin": ising_target(5, 1.0)[0],
+        "real": gaussian_mixture_target(3)[0],
+    }
+
+
+class TestEveryFamily:
+    @pytest.mark.parametrize("kind", ["index", "spin", "real"])
+    def test_pt_one_swap_attempt_per_sweep(self, kind):
+        family = _families()[kind]
+        result = pt_run(family, 500, seed=12, record_target_trace=True)
+        assert result.swap_attempts.sum() == 500
+        assert result.states.shape[0] == len(family.betas)
+        assert result.target_trace.shape[0] == 500
+
+    @pytest.mark.parametrize("kind", ["index", "spin", "real"])
+    def test_st_moves_state_and_temperature(self, kind):
+        family = _families()[kind]
+        result = st_run(
+            family, 500, seed=36, log_pseudo=np.zeros(len(family.betas)),
+            record_temp_trace=True,
+        )
+        assert result.temp_counts.sum() == 500
+        assert len(set(result.temp_trace.tolist())) > 1
+        assert result.state.shape[0] == 1
+
+    def test_zero_sweeps(self):
+        family, part = ising_target(5, 1.0)
+        result = pt_run(family, 0, seed=1, record_target_trace=True)
+        assert result.swap_attempts.sum() == 0
+        report = mode_crossing_report(result.target_trace, part)
+        assert report.crossings_per_sweep == 0.0
+        assert report.occupancy.size == 0
+        st = st_run(family, 0, seed=1, log_pseudo=np.zeros(len(family.betas)))
+        assert st.temp_counts.sum() == 0 and st.temp == 0
+
+
+class TestExactSpinLaw:
+    """Checks against the enumerated 2**5-state spin model (`ising_space`)."""
+
+    D, ALPHA = 5, 2.0
+
+    def _space(self):
+        family, _ = ising_target(self.D, self.ALPHA)
+        return family, ising_space(self.D, self.ALPHA, family.betas)
+
+    def test_pt_target_magnetisation_law(self):
+        family, space = self._space()
+        result = pt_run(family, 60_000, seed=51, record_target_trace=True)
+        levels = result.target_trace.sum(axis=1).astype(int)
+        freq = np.bincount((levels + self.D) // 2, minlength=self.D + 1) / levels.size
+        spins_sum = np.array([bin(i).count("1") for i in range(2**self.D)])
+        exact = np.bincount(
+            spins_sum, weights=space.stage_probs(space.n_stages), minlength=self.D + 1
+        )
+        assert tv_distance(freq, exact) <= 0.03
+
+    def test_st_exact_pseudo_priors_give_uniform_levels(self):
+        family, space = self._space()
+        lz = np.array([space.log_z(v) for v in range(space.n_stages + 1)])
+        result = st_run(family, 60_000, seed=53, log_pseudo=-lz)
+        occ = result.temp_counts / result.temp_counts.sum()
+        assert np.max(np.abs(occ - 1.0 / occ.size)) < 0.03
 
 
 class TestST:
@@ -97,17 +258,6 @@ class TestST:
         assert result.temp_counts[0] == 300_000
         marg = result.marginal_counts[0] / result.marginal_counts[0].sum()
         assert tv_distance(marg, np.exp(base)) <= 0.02
-
-    def test_st_step_moves_state_and_temperature(self, space):
-        fam = space.to_family()
-        kernels = [stage_kernel(fam, v) for v in range(fam.n_stages + 1)]
-        st = STState(state=np.array([0]), temp=0)
-        gen = rngmod.stream(36, 0, rngmod.REPLICATE)
-        seen = set()
-        for _ in range(200):
-            st = st_step(st, fam, kernels, np.zeros(4), gen)
-            seen.add(st.temp)
-        assert len(seen) > 1
 
     def test_pseudo_prior_shape_validated(self, space):
         with pytest.raises(ValueError):
