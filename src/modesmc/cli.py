@@ -127,6 +127,14 @@ def _check_limit(block: str, key: str, value, path: str):
         raise ConfigError(path, f"{requirement}, got {value!r}")
 
 
+def _finite(value) -> bool:
+    """Whether a numeric field's value is a finite float once converted."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past float range
+        return False
+
+
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a mapping")
@@ -156,8 +164,13 @@ def validate_config(cfg: dict) -> dict:
                     f"{key}.{sub}",
                     f"expected {allowed[sub]}, got {type(value).__name__}",
                 )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{key}.{sub}", f"must be finite, got {value!r}")
+            if allowed[sub] == (int, float) and not _finite(value):
+                shown = (
+                    repr(value)
+                    if isinstance(value, float)
+                    else f"an integer of {len(str(value))} digits"
+                )
+                raise ConfigError(f"{key}.{sub}", f"must be finite, got {shown}")
             _check_limit(key, sub, value, f"{key}.{sub}")
     return cfg
 

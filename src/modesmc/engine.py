@@ -27,8 +27,9 @@ Both paths compute the stage diagnostics with one function, from the log
 weight of each particle or of each occupied state's whole count.
 
 Output is a pure function of (config, seed): all randomness comes from
-counter-based per-(stage, phase) streams and mutation noise is pre-drawn
-per stage, so worker count never changes the result.
+counter-based per-(stage, phase) streams, and mutation noise comes from
+one Philox key per fixed block of particles (``kernels`` module
+docstring), so worker count never changes the result.
 """
 
 from __future__ import annotations

@@ -171,6 +171,19 @@ class TestCommands:
         assert main(["run-smc", "--config", str(path)]) == 2
         assert f"problem.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block,key", [("algorithm", "step_size"), ("problem", "sigma")]
+    )
+    def test_int_past_float_range_exits_2(self, tmp_path, capsys, block, key):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["problem"]["family"] = "gaussian_mixture"
+        cfg[block][key] = 10**400
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-smc", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{block}.{key}: must be finite" in err
+        assert "Traceback" not in err
+
     def test_restricted_still_takes_bools(self, tmp_path):
         cfg = copy.deepcopy(ISING_CFG)
         cfg["algorithm"]["restricted"] = False

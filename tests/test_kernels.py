@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,37 @@ class TestIdentityKernelBehavior:
         assert np.array_equal(k.step(x, _stream(10)), x)
 
 
+class TestStreamLayout:
+    @pytest.mark.parametrize("t", [10, 400])
+    def test_mutate_memory_does_not_grow_with_steps(self, t):
+        fam, part = gaussian_mixture_target(5)
+        kernel = stage_kernel(fam, 4)
+        x = fam.sample_initial(5_000, _stream(64))
+        cells = part.classify(x)
+        tracemalloc.start()
+        try:
+            kernel.mutate(x, t, _stream(65), cells=cells, partition=part)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_successive_steps_draw_fresh_noise(self):
+        fam, _ = ising_target(5, 0.0)  # flat: every proposal is accepted
+        kernel = stage_kernel(fam, 1)
+        x = np.ones((2_000, 5), dtype=np.int8)
+        gen = _stream(66)
+        assert not np.array_equal(kernel.step(x, gen), kernel.step(x, gen))
+
+    def test_blocks_draw_distinct_noise(self):
+        fam, _ = ising_target(5, 0.0)
+        kernel = stage_kernel(fam, 1)
+        y = kernel.step(np.ones((3_000, 5), dtype=np.int8), _stream(67))
+        blocks = [y[a : a + 952] for a in (0, 1024, 2048)]  # 952 rows in each
+        assert not np.array_equal(blocks[0], blocks[1])
+        assert not np.array_equal(blocks[1], blocks[2])
+
+
 class TestWorkerInvariance:
     def test_chunked_mutation_matches_serial(self, space):
         fam, part = space.to_family(), space.to_partition()
@@ -392,17 +424,38 @@ class TestBandedCountStep:
 # The shared Metropolis driver against the per-kernel loops it replaced.
 
 
+_BLOCK_ROWS = 1024  # the driver's fixed noise block
+
+
+def _layout_draws(rng, n, t, draw):
+    """The driver's stream layout: one Philox key per block from rng, then
+    at every step each block's ``draw(gen, rows)`` moves and then its
+    uniforms. Yields each step's (moves, uniforms) over all n rows."""
+    starts = range(0, n, _BLOCK_ROWS)
+    keys = rng.integers(0, 2**64, size=(len(starts), 2), dtype=np.uint64)
+    gens = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+    rows = [min(_BLOCK_ROWS, n - a) for a in starts]
+    for _ in range(t):
+        moves, u = [], []
+        for gen, m in zip(gens, rows):
+            moves.append(draw(gen, m))
+            u.append(gen.random(m))
+        yield np.concatenate(moves), np.concatenate(u)
+
+
 def _ref_rwm(kernel, states, t, rng, cells, partition):
-    """Reference: the random-walk loop, noise block drawn before the uniforms."""
+    """Reference: the random-walk loop, each step's noise before its uniforms."""
     x = np.array(states, dtype=float, copy=True)
     n = x.shape[0]
-    noise = kernel.proposal_std * rng.standard_normal((t, n, kernel.dim))
-    logu = np.log(rng.random((t, n)))
     lp = np.asarray(kernel.log_density(x), dtype=float)
-    for s in range(t):
-        y = x + noise[s]
+
+    def normals(gen, m):
+        return kernel.proposal_std * gen.standard_normal((m, kernel.dim))
+
+    for noise, u in _layout_draws(rng, n, t, normals):
+        y = x + noise
         lpy = np.asarray(kernel.log_density(y), dtype=float)
-        acc = logu[s] < (lpy - lp)
+        acc = np.log(u) < (lpy - lp)
         if partition is not None:
             acc &= partition.classify(y) == cells
         x[acc] = y[acc]
@@ -411,18 +464,17 @@ def _ref_rwm(kernel, states, t, rng, cells, partition):
 
 
 def _ref_flip(kernel, states, t, rng, cells, partition):
-    """Reference: the single-site flip loop, sites drawn before the uniforms."""
+    """Reference: the single-site flip loop, each step's sites before its uniforms."""
     x = np.array(states, copy=True)
     n = x.shape[0]
-    sites = rng.integers(0, kernel.dim, size=(t, n))
-    logu = np.log(rng.random((t, n)))
     lp = np.asarray(kernel.log_density(x), dtype=float)
     rows = np.arange(n)
-    for s in range(t):
+    draws = _layout_draws(rng, n, t, lambda gen, m: gen.integers(0, kernel.dim, size=m))
+    for sites, u in draws:
         y = x.copy()
-        y[rows, sites[s]] *= -1
+        y[rows, sites] *= -1
         lpy = np.asarray(kernel.log_density(y), dtype=float)
-        acc = logu[s] < (lpy - lp)
+        acc = np.log(u) < (lpy - lp)
         if partition is not None:
             acc &= partition.classify(y) == cells
         x[acc] = y[acc]
@@ -430,58 +482,74 @@ def _ref_flip(kernel, states, t, rng, cells, partition):
     return x
 
 
+def _walk_dirs(gen, m):
+    return gen.integers(0, 2, size=m) * 2 - 1
+
+
 def _ref_walk(kernel, states, t, rng, cells, partition):
     """Reference: the neighbour-walk loop, refusing off-path moves by a mask."""
     x = np.array(states, dtype=np.int64, copy=True)
     n = x.shape[0]
-    dirs = rng.integers(0, 2, size=(t, n)) * 2 - 1
-    logu = np.log(rng.random((t, n)))
     lm = kernel.log_mass
-    for s in range(t):
-        y = x + dirs[s]
+    for dirs, u in _layout_draws(rng, n, t, _walk_dirs):
+        y = x + dirs
         valid = (y >= 0) & (y < lm.size)
         ysafe = np.where(valid, y, x)
-        acc = valid & (logu[s] < lm[ysafe] - lm[x])
+        acc = valid & (np.log(u) < lm[ysafe] - lm[x])
         if partition is not None:
             acc &= partition.classify(ysafe) == cells
         x[acc] = ysafe[acc]
     return x
 
 
-def _driver_case(name):
+def _driver_case(name, n=301):
     gen = _stream(60)
     if name == "rwm":
         fam, part = gaussian_mixture_target(3)
         kernel = stage_kernel(fam, 2)
-        return kernel, fam.sample_initial(301, gen), part, _ref_rwm
+        return kernel, fam.sample_initial(n, gen), part, _ref_rwm
     if name == "flip":
         fam, part = ising_target(7, 1.0)
         kernel = stage_kernel(fam, 3)
-        return kernel, fam.sample_initial(301, gen), part, _ref_flip
+        return kernel, fam.sample_initial(n, gen), part, _ref_flip
     walk, labels = _two_basin(12)
     x = np.concatenate([np.zeros(100), np.full(100, 11), np.arange(12).repeat(9)])
+    if n > x.size:
+        x = np.resize(x, n)
     return walk, x.astype(np.int64), index_partition(labels), _ref_walk
 
 
+def _check_driver(name, restricted, workers, n=301):
+    kernel, x, part, ref = _driver_case(name, n)
+    cells = part.classify(x)
+    part = part if restricted else None
+    got = kernel.mutate(
+        x, 12, _stream(61), cells=cells, partition=part, workers=workers
+    )
+    assert np.array_equal(got, ref(kernel, x, 12, _stream(61), cells, part))
+    one = kernel.step(x, _stream(62), cells=cells, partition=part)
+    assert np.array_equal(one, ref(kernel, x, 1, _stream(62), cells, part))
+
+
 class TestMetropolisDriver:
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("restricted", [False, True])
     @pytest.mark.parametrize("name", ["rwm", "flip", "walk"])
     def test_driver_equals_reference_loop(self, name, restricted, workers):
-        kernel, x, part, ref = _driver_case(name)
-        cells = part.classify(x)
-        part = part if restricted else None
-        got = kernel.mutate(
-            x, 12, _stream(61), cells=cells, partition=part, workers=workers
-        )
-        assert np.array_equal(got, ref(kernel, x, 12, _stream(61), cells, part))
-        one = kernel.step(x, _stream(62), cells=cells, partition=part)
-        assert np.array_equal(one, ref(kernel, x, 1, _stream(62), cells, part))
+        _check_driver(name, restricted, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("name", ["rwm", "flip", "walk"])
+    def test_driver_equals_reference_across_block_edges(
+        self, name, restricted, workers
+    ):
+        _check_driver(name, restricted, workers, n=2 * _BLOCK_ROWS + 301)
 
     def test_walk_off_path_proposals_stay_put(self):
         walk, _ = _two_basin(12)
         x = np.repeat(np.array([0, 11]), 500)
-        moves = walk.draw_moves(_stream(63), 1, x.size)[0]
+        moves, _ = next(_layout_draws(_stream(63), x.size, 1, _walk_dirs))
         out = walk.step(x, _stream(63))
         off = ((x == 0) & (moves < 0)) | ((x == 11) & (moves > 0))
         assert off.sum() > 400
