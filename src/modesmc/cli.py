@@ -104,13 +104,19 @@ _SCHEMA = {
     "sweep": None,  # free-form dotted paths to value lists
 }
 
+
+def _size(low: int):
+    """A count limit; sizes stop below 2**63, the most numpy can index."""
+    return (lambda v: low <= v < 2**63, f"must be in {low}..2**63-1")
+
+
 # (block, key) -> (test, requirement) for values whose type alone is not enough
 _LIMITS = {
-    ("algorithm", "particles"): (lambda v: v >= 1, "must be at least 1"),
-    ("algorithm", "mutation_steps"): (lambda v: v >= 0, "must be at least 0"),
-    ("algorithm", "sweeps"): (lambda v: v >= 0, "must be at least 0"),
+    ("algorithm", "particles"): _size(1),
+    ("algorithm", "mutation_steps"): _size(0),
+    ("algorithm", "sweeps"): _size(0),
     ("algorithm", "step_size"): (lambda v: v > 0, "must be positive"),
-    ("algorithm", "replicates"): (lambda v: v >= 1, "must be at least 1"),
+    ("algorithm", "replicates"): _size(1),
     ("algorithm", "seed"): (lambda v: 0 <= v < 2**64, "must be in 0..2**64-1"),
     ("algorithm", "engine"): (
         lambda v: v in ENGINE_MODES,
@@ -124,7 +130,14 @@ def _check_limit(block: str, key: str, value, path: str):
         return
     test, requirement = _LIMITS[(block, key)]
     if not test(value):
-        raise ConfigError(path, f"{requirement}, got {value!r}")
+        raise ConfigError(path, f"{requirement}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """A value for an error message; long integers by their digit count."""
+    if isinstance(value, int) and len(str(abs(value))) > 20:
+        return f"an integer of {len(str(abs(value)))} digits"
+    return repr(value)
 
 
 def _finite(value) -> bool:
@@ -165,12 +178,9 @@ def validate_config(cfg: dict) -> dict:
                     f"expected {allowed[sub]}, got {type(value).__name__}",
                 )
             if allowed[sub] == (int, float) and not _finite(value):
-                shown = (
-                    repr(value)
-                    if isinstance(value, float)
-                    else f"an integer of {len(str(value))} digits"
+                raise ConfigError(
+                    f"{key}.{sub}", f"must be finite, got {_shown(value)}"
                 )
-                raise ConfigError(f"{key}.{sub}", f"must be finite, got {shown}")
             _check_limit(key, sub, value, f"{key}.{sub}")
     return cfg
 
@@ -187,7 +197,15 @@ def serialize_config(cfg: dict) -> str:
 
 
 def parse_config(text: str) -> dict:
-    return validate_config(yaml.safe_load(text))
+    try:
+        cfg = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError("<root>", f"not valid YAML: {exc}") from None
+    except ValueError as exc:  # e.g. an integer past Python's digit limit
+        raise ConfigError("<root>", f"unreadable value: {exc}") from None
+    except RecursionError:
+        raise ConfigError("<root>", "nested too deeply to read") from None
+    return validate_config(cfg)
 
 
 def config_hash(cfg: dict) -> str:

@@ -27,9 +27,10 @@ Both paths compute the stage diagnostics with one function, from the log
 weight of each particle or of each occupied state's whole count.
 
 Output is a pure function of (config, seed): all randomness comes from
-counter-based per-(stage, phase) streams, and mutation noise comes from
-one Philox key per fixed block of particles (``kernels`` module
-docstring), so worker count never changes the result.
+counter-based per-(stage, phase) Philox streams, and mutation noise comes
+from one SFC64 generator per fixed block of particles, keyed from the
+stage's MUTATE stream (``kernels`` module docstring), so worker count
+never changes the result.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def _run_counts(config: RunConfig) -> RunReport:
         config=config,
         seed=config.seed,
         final_states=final_states,
-        final_cells=labels[final_states],
+        final_cells=np.repeat(labels, counts),
         diagnostics=diagnostics,
         log_z=float(sum(d.log_z_increment for d in diagnostics)),
         stage_seconds=seconds,

@@ -6,25 +6,32 @@ supply only a state dtype, a move block and a proposal. A proposal that
 would leave the state space (the neighbour walk's moves off either end of
 its path) returns the current state, so accepting it is a stay.
 
-The driver's stream layout (Salmon et al. 2011, counter-based Philox):
-particles fall into fixed blocks of ``_BLOCK`` = 1024 rows, block b being
-rows [1024 b, min(N, 1024 (b + 1))). A call first draws one (n_blocks, 2)
-uint64 array of Philox keys from the caller's generator, one key per
-block; then at each step every block draws from its own keyed generator
-its moves and then its acceptance uniforms. A particle's noise is a
-function of (stream, block, step) only, so output is identical however
-many workers split the blocks, and drawing the keys advances the caller's
-generator, so two calls on one generator never reuse noise. A call holds
-the N states with their log densities, one step's N proposals and moves,
-and each worker's block-sized draws: O(N + workers 1024) rows of d
-numbers whatever t is, where pre-drawing every step took O(t N) rows.
-Workers take contiguous ranges of blocks and draw their noise in parallel
-(numpy's fills release the GIL). Blocks of 4096 rows ran as fast at one
-worker, but split N = 5000 as 4096 + 904 rows, so two workers gained less:
-one d = 5 Gaussian run with t = 100 and 9 stages took 0.32-0.41 s at two
-workers with 1024-row blocks, 0.38-0.47 s with 4096-row blocks, and
-0.41-0.47 s with the whole stage's noise pre-drawn (medians of 11 runs,
-2-core VM).
+The driver's stream layout: particles fall into fixed blocks of
+``_BLOCK`` = 1024 rows, block b being rows [1024 b, min(N, 1024 (b + 1))).
+A call first draws one (n_blocks, 2) uint64 array of keys from the
+caller's generator (the stage's counter-based Philox MUTATE stream,
+``rng``), one key per block; each block then gets its own SFC64
+generator, seeded through numpy's ``SeedSequence`` from its two-word key,
+and at each step draws from it its moves and then its acceptance
+uniforms. A particle's noise is a function of (stream, block, step) only,
+so output is identical however many workers split the blocks, and
+drawing the keys advances the caller's generator, so two calls on one
+generator never reuse noise. Counters matter for the per-(seed, stage,
+phase) streams; a block generator is built once per call and only its
+speed matters. On a 1024 x 5 block (numpy 2.4, 2-core VM)
+``standard_normal`` took 45.8 us on Philox, 37.3 us on PCG64 and 33.3 us
+on SFC64, and 1024 uniforms 3.1, 1.8 and 1.9 us; a vectorised Box-Muller
+was slower than the ziggurat on both Philox and SFC64 (96 and 86 us).
+A call holds the N states with their log densities, one step's N
+proposals and moves, and each worker's block-sized draws:
+O(N + workers 1024) rows of d numbers whatever t is, where pre-drawing
+every step took O(t N) rows. Workers take contiguous ranges of blocks and
+draw their noise in parallel (numpy's fills release the GIL). Blocks of
+4096 rows ran as fast at one worker, but split N = 5000 as 4096 + 904
+rows, so two workers gained less: one d = 5 Gaussian run with t = 100 and
+9 stages took 0.32-0.41 s at two workers with 1024-row blocks, 0.38-0.47 s
+with 4096-row blocks, and 0.41-0.47 s with the whole stage's noise
+pre-drawn (medians of 11 runs, Philox blocks, 2-core VM).
 
 Restriction follows the refuse-leaving-moves construction: a full base
 step is simulated and the result is discarded (the particle stays put)
@@ -77,8 +84,9 @@ class _Metropolis:
     block indexed ``[step, particle]`` and ``propose(x, move)``; the driver
     owns the stream layout, the accept/refuse loop and the cell check.
 
-    ``mutate`` draws one Philox key per 1024-row block from ``rng``, then
-    at each step draws per block, from that block's generator,
+    ``mutate`` draws one key per 1024-row block from ``rng``, seeds an
+    SFC64 generator per block with it, then at each step draws per block,
+    from that block's generator,
     ``draw_moves(gen, 1, rows)`` and then ``rows`` acceptance uniforms, and
     runs the step once over each worker's contiguous range of blocks. Its
     memory is O(N + workers 1024) rows whatever t is (module docstring).
@@ -99,7 +107,7 @@ class _Metropolis:
             sl = slice(blocks.start * _BLOCK, min(n, blocks.stop * _BLOCK))
             xs, lp = x[sl], logp[sl]
             cs = cells[sl] if cells is not None else None
-            gens = [np.random.Generator(np.random.Philox(key=keys[b])) for b in blocks]
+            gens = [np.random.Generator(np.random.SFC64(keys[b])) for b in blocks]
             m = sl.stop - sl.start
             rows = [slice(a, min(a + _BLOCK, m)) for a in range(0, m, _BLOCK)]
             moves, logu = None, np.empty(m)  # one step's noise, reused

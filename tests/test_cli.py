@@ -1,4 +1,8 @@
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -25,6 +29,9 @@ ISING_CFG = {
     },
     "output": {"directory": "out"},
 }
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -219,6 +226,49 @@ class TestCommands:
         path = write_cfg(tmp_path, cfg)
         assert main(["run-pt", "--config", str(path),
                      "--out", str(tmp_path / "pt")]) == 0
+
+    @pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
+    @pytest.mark.parametrize(
+        "key", ["particles", "mutation_steps", "sweeps", "replicates"]
+    )
+    def test_size_past_numpy_index_range_exits_2(self, tmp_path, capsys, key, value):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["algorithm"][key] = value
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run-smc", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"algorithm.{key}: must be in" in capsys.readouterr().err
+        cfg["algorithm"][key] = 2**63 - 1  # the largest size still accepted
+        assert validate_config(cfg) is cfg
+
+    def test_integer_past_python_digit_limit_exits_2(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        long_step = "algorithm:\n  step_size: " + "7" * 5001 + "\n"
+        path.write_text(yaml.safe_dump(ISING_CFG).replace("algorithm:\n", long_step))
+        proc = subprocess.run(
+            [sys.executable, "-m", "modesmc", "run-smc", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ")
+        assert "digits" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("algorithm: [particles: 3\n", "not valid YAML"),
+            ("algorithm: " + "[" * 3000 + "]" * 3000 + "\n", "nested too deeply"),
+        ],
+        ids=["unclosed", "deep"],
+    )
+    def test_unreadable_yaml_exits_2(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert main(["run-smc", "--config", str(path)]) == 2
+        assert f"<root>: {problem}" in capsys.readouterr().err
 
     def test_run_smc_outputs(self, tmp_path, capsys):
         path = write_cfg(tmp_path, ISING_CFG)

@@ -249,6 +249,13 @@ class TestRun:
         assert np.array_equal(a.final_states, b.final_states)
         assert a.log_z == b.log_z
 
+    @pytest.mark.parametrize("restricted", [True, False])
+    def test_count_path_final_cells_classify_final_states(self, space, restricted):
+        report = run(_cfg(space, seed=6, restricted=restricted))
+        cells = space.to_partition().classify(report.final_states)
+        assert report.final_cells.dtype == cells.dtype
+        assert np.array_equal(report.final_cells, cells)
+
     def test_count_and_particle_paths_share_law(self, space):
         # same config through both engines: per-stage mean resampling
         # probabilities agree within Monte Carlo error

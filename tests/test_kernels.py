@@ -428,12 +428,13 @@ _BLOCK_ROWS = 1024  # the driver's fixed noise block
 
 
 def _layout_draws(rng, n, t, draw):
-    """The driver's stream layout: one Philox key per block from rng, then
-    at every step each block's ``draw(gen, rows)`` moves and then its
-    uniforms. Yields each step's (moves, uniforms) over all n rows."""
+    """The driver's stream layout: one key per block from rng, seeding an
+    SFC64 generator per block, then at every step each block's
+    ``draw(gen, rows)`` moves and then its uniforms. Yields each step's
+    (moves, uniforms) over all n rows."""
     starts = range(0, n, _BLOCK_ROWS)
     keys = rng.integers(0, 2**64, size=(len(starts), 2), dtype=np.uint64)
-    gens = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+    gens = [np.random.Generator(np.random.SFC64(k)) for k in keys]
     rows = [min(_BLOCK_ROWS, n - a) for a in starts]
     for _ in range(t):
         moves, u = [], []
@@ -555,3 +556,17 @@ class TestMetropolisDriver:
         assert off.sum() > 400
         assert np.array_equal(out[off], x[off])
         assert np.all((out >= 0) & (out < 12))
+
+    def test_block_noise_is_standard_normal(self):
+        # a flat target accepts every move, so y - x is the raw noise; rows
+        # 2049 fill blocks of 1024, 1024 and 1
+        kernel = RandomWalkMetropolis(
+            lambda x: np.zeros(x.shape[0]), proposal_std=0.7, dim=3
+        )
+        n = 2 * _BLOCK_ROWS + 1
+        x = _stream(64).standard_normal((n, 3))
+        z = (kernel.mutate(x, 1, _stream(65)) - x) / kernel.proposal_std
+        assert stats.kstest(z.ravel(), "norm").pvalue > 1e-3
+        for a in range(0, n, _BLOCK_ROWS):
+            block = z[a:a + _BLOCK_ROWS]
+            assert abs(block.mean()) < 5 / math.sqrt(block.size)
