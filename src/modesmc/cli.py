@@ -47,7 +47,12 @@ from .engine import (
     cell_tracking_error,
     run,
 )
-from .families import analytic_catalog, gaussian_mixture_target, ising_target
+from .families import (
+    InvalidStateError,
+    analytic_catalog,
+    gaussian_mixture_target,
+    ising_target,
+)
 from .kernels import mixing_time_bound, spectral_gap, stage_kernel, transition_matrix
 
 DIAGNOSTIC_COLUMNS = (
@@ -112,6 +117,11 @@ def _size(low: int):
 
 # (block, key) -> (test, requirement) for values whose type alone is not enough
 _LIMITS = {
+    ("problem", "weight"): (lambda v: 0 < v < 1, "must be in (0, 1)"),
+    ("problem", "sigma"): (
+        lambda v: v > 0 and 0.0 < float(v) * float(v) < math.inf,
+        "must be positive with a finite, nonzero square",
+    ),
     ("algorithm", "particles"): _size(1),
     ("algorithm", "mutation_steps"): _size(0),
     ("algorithm", "sweeps"): _size(0),
@@ -818,7 +828,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except WeightCollapseError as exc:
+    except (WeightCollapseError, InvalidStateError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

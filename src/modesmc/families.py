@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import truncnorm
+from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 
 class InvalidStateError(ValueError):
@@ -29,6 +28,36 @@ class InvalidStateError(ValueError):
 _MAX_FLOAT_COLUMNS = 7
 _MAX_INT_COLUMNS = 15
 _ROWS_PER_COLUMN = 128
+
+
+def _truncated_normal_ppf(us: np.ndarray, a: float) -> np.ndarray:
+    """Inverse CDF of the standard normal truncated to [a, inf), at us in [0, 1).
+
+    ``scipy.stats.truncnorm.ppf(us, a, inf)`` bit for bit, without importing
+    ``scipy.stats``, which took 0.26 s and 46 MiB of every process (2-core
+    x86 machine, scipy 1.17). It is scipy's log-space formula, solved in
+    the tail that keeps precision:
+
+    - a < 0: Phi(z) = Phi(a) + u (1 - Phi(a)), summed as logs;
+    - a >= 0: Phi(-z) = (1 - u) Phi(-a), where scipy's log mass is
+      ``log_ndtr(-a)`` for a > 0 and ``log1p(-ndtr(a))`` at a == 0, and its
+      ``logsumexp`` with the upper tail's log Phi(-inf) = -inf is exact.
+
+    ``log1p`` of the mass is ``scipy.special.log1p``, as in scipy, which
+    differs from numpy's in the last bit on some inputs; u == 0 maps to a.
+    """
+    with np.errstate(divide="ignore"):  # log(0) at u == 0, replaced below
+        if a < 0:
+            log_phi = logsumexp(
+                [np.full(us.shape, log_ndtr(a)), np.log(us) + log1p(-ndtr(a))],
+                axis=0,
+            )
+            z = ndtri_exp(log_phi)
+        else:
+            mass = log_ndtr(-a) if a > 0 else log1p(-ndtr(a))
+            z = -ndtri_exp(np.log1p(-us) + mass)
+    z[us == 0.0] = a
+    return z
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -258,7 +287,7 @@ def gaussian_mixture_target(
         p_h = w**beta / (w**beta + (1.0 - w) ** beta)
         mirror = rng.random(n) >= p_h
         us = rng.random(n)
-        s = truncnorm.ppf(us, a=(0.0 - m) / sd, b=np.inf, loc=m, scale=sd)
+        s = _truncated_normal_ppf(us, (0.0 - m) / sd) * sd + m
         g = rng.standard_normal((n, d)) * sd
         x = s[:, None] * u + (g - np.outer(g @ u, u))
         x[mirror] = -x[mirror]

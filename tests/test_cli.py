@@ -257,6 +257,40 @@ class TestCommands:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "family,key,value,code",
+        [
+            ("gaussian_mixture", "sigma", 0, 2),
+            ("gaussian_mixture", "sigma", -1.0, 2),
+            ("gaussian_mixture", "sigma", 1.0e-300, 2),
+            ("gaussian_mixture", "sigma", 1.0e300, 2),
+            ("gaussian_mixture", "weight", 1.5, 2),
+            ("gaussian_mixture", "weight", 0, 2),
+            ("ising", "alpha", 1.0e308, 3),
+            ("gaussian_mixture", "center_scale", 1.0e300, 3),
+        ],
+    )
+    def test_out_of_range_problem_value_exits_cleanly(
+        self, tmp_path, family, key, value, code
+    ):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["problem"].update(
+            {"family": family, "dimension": 5 if family == "ising" else 3, key: value}
+        )
+        cfg["algorithm"].update({"particles": 50, "mutation_steps": 2})
+        proc = subprocess.run(
+            [sys.executable, "-m", "modesmc", "run-smc",
+             "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert f"config error: problem.{key}: " in proc.stderr
+        else:
+            assert "runtime failure: non-finite" in proc.stderr
+
+    @pytest.mark.parametrize(
         "text,problem",
         [
             ("algorithm: [particles: 3\n", "not valid YAML"),

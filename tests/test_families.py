@@ -19,7 +19,7 @@ from modesmc import (
     run,
 )
 from modesmc import rng as rngmod
-from modesmc.families import _row_sum
+from modesmc.families import _row_sum, _truncated_normal_ppf
 
 
 class TestSchedules:
@@ -268,6 +268,40 @@ class TestExactStageSampling:
         m, sd = 2.0, 1.0 / math.sqrt(beta)
         ref = truncnorm(a=-m / sd, b=np.inf, loc=m, scale=sd)
         assert abs(pos.mean() - ref.mean()) < 4 * ref.std() / math.sqrt(pos.size)
+
+
+class TestTruncatedNormalPpf:
+    """The private inverse CDF against scipy.stats.truncnorm, which it replaces."""
+
+    EDGES = np.array([0.0, 1.0 - 2.0**-53, 5e-324, 1e-300, 0.5])
+
+    @pytest.mark.parametrize(
+        "a", [-38.0, -8.5, -1.3, -1e-9, -0.0, 0.0, 1e-9, 0.7, 4.0, 12.0, 36.0]
+    )
+    def test_matches_scipy_truncnorm(self, a):
+        from scipy.stats import truncnorm
+
+        us = np.concatenate([self.EDGES, np.random.default_rng(31).random(500)])
+        got = _truncated_normal_ppf(us, a)
+        want = truncnorm.ppf(us, a=a, b=np.inf)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert got[0] == a
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0])
+    def test_stage_sampler_at_nonpositive_centres(self, nu):
+        # nu <= 0 puts each component's centre on or behind its half-space,
+        # so the projection onto 1_d is truncated at a = -m/sd >= 0
+        from scipy.stats import kstest, truncnorm
+
+        d = 3
+        fam, _ = gaussian_mixture_target(d, nu=nu)
+        gen = rngmod.stream(12, 0, rngmod.REPLICATE)
+        m = nu * math.sqrt(d)
+        for v in (0, fam.n_stages // 2, fam.n_stages):
+            sd = 1.0 / math.sqrt(fam.betas[v])
+            s = np.abs(fam.sample_stage(v, 20_000, gen).sum(axis=1)) / math.sqrt(d)
+            ref = truncnorm(a=-m / sd, b=np.inf, loc=m, scale=sd)
+            assert kstest(s, ref.cdf).pvalue > 1e-3
 
 
 class TestFamilyValidation:
