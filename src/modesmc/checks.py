@@ -4,8 +4,9 @@ Small enumerated spaces make every quantity exactly computable, so the
 claims behind the engine (the coupling construction, warm mixing times,
 local warmness of the resampled marginals, the conditional weight
 identity, and the weight concentration bound) can each be verified
-directly. The checks here are the library form; the `verify` CLI
-subcommand and the acceptance tests drive them.
+directly. The checks here are the library form, which the acceptance
+tests drive; ``verify_suite`` runs them as one suite on the four-state
+reference space, and the `verify` CLI subcommand prints its rows.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from typing import Optional
 
 import numpy as np
 
+from . import bounds as boundsmod
 from . import rng as rngmod
-from .discrete import DiscreteSpace
+from .discrete import DiscreteSpace, reference_four_state
 from .engine import RunConfig, run
 from .kernels import (
     cell_submatrix,
+    mixing_time_bound,
     restrict_transition_matrix,
+    spectral_gap,
     stage_kernel,
     transition_matrix,
 )
@@ -170,6 +174,16 @@ def restricted_cell_blocks(space: DiscreteSpace, v: int) -> list:
     ]
 
 
+def min_restricted_gap(space: DiscreteSpace) -> float:
+    """Smallest spectral gap of a restricted kernel block over every stage
+    v >= 1 and cell, each block taken against its own cell conditional."""
+    return min(
+        spectral_gap(sub, stationary=cond)
+        for v in range(1, space.n_stages + 1)
+        for sub, cond in restricted_cell_blocks(space, v)
+    )
+
+
 def warm_mixing_times(space: DiscreteSpace, v: int, M: float, epsilon: float) -> list:
     """Exact per-cell warm mixing times of the stage-v restricted kernel."""
     return [
@@ -180,6 +194,26 @@ def warm_mixing_times(space: DiscreteSpace, v: int, M: float, epsilon: float) ->
 
 # ---------------------------------------------------------------------------
 # Ensemble checks on the engine's resampled marginals.
+
+
+def _runs(
+    space: DiscreteSpace, n_particles: int, t: int, n_runs: int, seed: int, **options
+):
+    """Yield the reports of n_runs independent engine runs on space, run r
+    seeded by substream r of seed; options go to RunConfig."""
+    family = space.to_family()
+    partition = space.to_partition()
+    for r in range(n_runs):
+        yield run(
+            RunConfig(
+                family=family,
+                partition=partition,
+                n_particles=n_particles,
+                mutation_steps=t,
+                seed=rngmod.substream_seed(seed, r),
+                **options,
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -208,22 +242,9 @@ def local_warmness_report(
     never populates are excluded from its mean and surface as the
     extinction rate; a cell no run populates yields ratio = inf.
     """
-    family = space.to_family()
-    partition = space.to_partition()
-    m = space.n_states
-    traces = np.empty((n_runs, space.n_stages, m))
-    for r in range(n_runs):
-        report = run(
-            RunConfig(
-                family=family,
-                partition=partition,
-                n_particles=n_particles,
-                mutation_steps=t,
-                seed=rngmod.substream_seed(seed, r),
-                record_resampled=True,
-            )
-        )
-        traces[r] = np.stack(report.resampled_trace)
+    reports = _runs(space, n_particles, t, n_runs, seed, record_resampled=True)
+    # (runs, stages, states): per-state counts after each stage's resampling
+    traces = np.array([report.resampled_trace for report in reports], dtype=float)
 
     rows = []
     for v in range(1, space.n_stages + 1):
@@ -289,20 +310,9 @@ def conditional_weight_identity(
     """
     if not 1 <= v < space.n_stages:
         raise ValueError(f"need 1 <= v < {space.n_stages}")
-    family = space.to_family()
-    partition = space.to_partition()
     p_hat = np.empty((n_runs, space.n_cells))
     w_next = np.empty((n_runs, space.n_cells))
-    for r in range(n_runs):
-        report = run(
-            RunConfig(
-                family=family,
-                partition=partition,
-                n_particles=n_particles,
-                mutation_steps=t,
-                seed=rngmod.substream_seed(seed, r),
-            )
-        )
+    for r, report in enumerate(_runs(space, n_particles, t, n_runs, seed)):
         p_hat[r] = report.diagnostics[v - 1].resample_probs
         w_next[r] = report.diagnostics[v].cell_weight_sums
 
@@ -382,3 +392,139 @@ def stage_weight_concentration(
         n_runs=n_runs,
         ok=bool(exceed_rate <= bound + 3.0 * se),
     )
+
+
+# ---------------------------------------------------------------------------
+# The verify suite: every standing check on the four-state reference space.
+
+
+VERIFY_SEED = 20240
+
+
+def verify_suite(seed: int = VERIFY_SEED, quick: bool = False) -> list:
+    """Run the standing checks; returns (name, passed, detail) rows."""
+    rows = []
+    space = reference_four_state()
+
+    def record(name, passed, detail=""):
+        rows.append((name, bool(passed), detail))
+
+    # exact restricted stationarity + detailed balance at every stage
+    worst_db, worst_st = 0.0, 0.0
+    for v in range(1, space.n_stages + 1):
+        P = transition_matrix(stage_kernel(space.to_family(), v))
+        pi = space.stage_probs(v)
+        worst_db = max(worst_db, np.max(np.abs(pi[:, None] * P - (pi[:, None] * P).T)))
+        for sub, cond in restricted_cell_blocks(space, v):
+            worst_st = max(worst_st, np.max(np.abs(cond @ sub - cond)))
+    record("detailed-balance-exact", worst_db < 1e-10, f"max flux asym {worst_db:.2e}")
+    record("restricted-stationarity", worst_st < 1e-10, f"max residual {worst_st:.2e}")
+
+    # warm mixing times never exceed the spectral-gap bound
+    ok, detail = True, []
+    for v in range(1, space.n_stages + 1):
+        for j, (sub, cond) in enumerate(restricted_cell_blocks(space, v)):
+            gap = spectral_gap(sub, stationary=cond)
+            tau = warm_mixing_time(sub, cond, 7, 0.01)
+            bound = mixing_time_bound(gap, 0.01, 7)
+            ok &= tau <= bound
+            detail.append(f"v{v}j{j}:{tau}<={bound}")
+    record("warm-mixing-vs-gap-bound", ok, " ".join(detail))
+
+    # coupling correctness on random pairs
+    gen = rngmod.stream(seed, 1, rngmod.REPLICATE)
+    n_pairs, draws = (5, 20_000) if quick else (20, 200_000)
+    ok = True
+    for _ in range(n_pairs):
+        m = int(gen.integers(2, 9))
+        f = gen.dirichlet(np.ones(m))
+        g = gen.dirichlet(np.ones(m))
+        pair = coupling_map(f, g, gen, size=draws)
+        tv = tv_distance(f, g)
+        dis = 1.0 - pair.equal.mean()
+        se = max(np.sqrt(tv * (1 - tv) / draws), 1e-6)
+        ok &= abs(dis - tv) <= 4 * se
+        for dist, drawn in ((f, pair.primary), (g, pair.shadow)):
+            freq = np.bincount(drawn, minlength=m) / draws
+            ses = np.sqrt(np.maximum(dist * (1 - dist), 1e-12) / draws)
+            ok &= np.all(np.abs(freq - dist) <= 4 * ses + 1e-9)
+    record("coupling-map", ok, f"{n_pairs} random pairs, {draws} draws each")
+
+    # resampling probabilities track cell masses within the phi sandwich
+    n_seeds = 30 if quick else 200
+    n_particles = 100_000 if quick else boundsmod.particle_bound(
+        0.5, space.n_stages, space.n_cells,
+        space.weight_bound(), space.z_ratio_bound(), space.mu_star(),
+    )
+    lam = boundsmod.lambda_of(0.5, space.n_stages)
+    f = boundsmod.phi(lam)
+    hit = sum(
+        all(
+            np.all(d.resample_probs <= f**d.stage * space.cell_probs(d.stage) + 1e-15)
+            and np.all(
+                d.resample_probs >= f**-d.stage * space.cell_probs(d.stage) - 1e-15
+            )
+            for d in report.diagnostics
+        )
+        for report in _runs(space, n_particles, 20, n_seeds, seed + 1)
+    )
+    record(
+        "resampling-sandwich",
+        hit / n_seeds > 0.75,
+        f"{hit}/{n_seeds} runs inside at N={n_particles}",
+    )
+
+    # local warmness of the resampled marginals
+    taus = [
+        max(warm_mixing_times(space, v, 7, 1e-3))
+        for v in range(1, space.n_stages + 1)
+    ]
+    warm = local_warmness_report(
+        space,
+        n_particles=2_000 if quick else 10_000,
+        t=max(taus) + 1,
+        n_runs=50 if quick else 200,
+        seed=seed + 2,
+    )
+    record(
+        "local-7-warmness",
+        all(r.ok for r in warm),
+        " ".join(f"v{r.stage}:{r.max_ratio:.3f}" for r in warm),
+    )
+
+    # conditional weight identity
+    idrows = conditional_weight_identity(
+        space,
+        v=1,
+        n_particles=2_000,
+        t=25,
+        n_runs=200 if quick else 800,
+        seed=seed + 3,
+    )
+    tested = [r for r in idrows if r.ok is not None]
+    record(
+        "conditional-weight-identity",
+        bool(tested) and all(r.ok for r in tested),
+        f"{sum(r.ok for r in tested)}/{len(tested)} strata",
+    )
+
+    # one-stage concentration bound
+    conc = stage_weight_concentration(
+        space, n_particles=1_000, lam=0.1, n_runs=2_000 if quick else 10_000,
+        seed=seed + 4,
+    )
+    record(
+        "weight-concentration",
+        conc.ok,
+        f"rate {conc.exceed_rate:.4f} <= bound {conc.bound:.4f} + 3se",
+    )
+
+    # normalizing-constant accuracy
+    n_z = 20 if quick else 100
+    exact = space.log_z(space.n_stages) - space.log_z(0)
+    good = sum(
+        abs(report.log_z - exact) <= 0.05
+        for report in _runs(space, 10_000, 100, n_z, seed + 5)
+    )
+    record("normalizing-constant", good >= 0.95 * n_z, f"{good}/{n_z} within 0.05")
+    return rows

@@ -38,7 +38,7 @@ import yaml
 from . import __version__
 from . import bounds as boundsmod
 from . import checks, rng as rngmod, tempering
-from .discrete import reference_four_state
+from .discrete import DiscreteSpace, reference_four_state
 from .engine import (
     ENGINE_MODES,
     RunConfig,
@@ -53,7 +53,6 @@ from .families import (
     gaussian_mixture_target,
     ising_target,
 )
-from .kernels import mixing_time_bound, spectral_gap, stage_kernel, transition_matrix
 
 DIAGNOSTIC_COLUMNS = (
     "stage",
@@ -74,72 +73,63 @@ class ConfigError(ValueError):
         self.path = path
 
 
-_SCHEMA = {
-    "problem": {
-        "family": str,
-        "dimension": int,
-        "alpha": (int, float),
-        "weight": (int, float),
-        "sigma": (int, float),
-        "center_scale": (int, float),
-    },
-    "algorithm": {
-        "method": str,
-        "particles": int,
-        "mutation_steps": int,
-        "sweeps": int,
-        "seed": int,
-        "step_size": (int, float),
-        "engine": str,
-        "restricted": bool,
-        "pseudo_priors": list,
-        "replicates": int,
-    },
-    "output": {"directory": str},
-    "bounds": {
-        "epsilon": (int, float),
-        "w": (int, float),
-        "z": (int, float),
-        "mu_star": (int, float),
-        "p": int,
-        "gamma": (int, float),
-        "pi_star": (int, float),
-        "min_gap": (int, float),
-    },
-    "sweep": None,  # free-form dotted paths to value lists
-}
+_NUMBER = (int, float)
 
-
-def _size(low: int):
-    """A count limit; sizes stop below 2**63, the most numpy can index."""
-    return (lambda v: low <= v < 2**63, f"must be in {low}..2**63-1")
-
-
-# (block, key) -> (test, requirement) for values whose type alone is not enough
-_LIMITS = {
-    ("problem", "weight"): (lambda v: 0 < v < 1, "must be in (0, 1)"),
-    ("problem", "sigma"): (
-        lambda v: v > 0 and 0.0 < float(v) * float(v) < math.inf,
-        "must be positive with a finite, nonzero square",
+# dotted path -> (type, test, requirement); the test covers what the type
+# alone does not. Sizes stop below 2**63, the most numpy can index. The
+# sigma test is what gaussian_mixture_target computes: 1/(2 sigma**2) must
+# be finite and nonzero.
+_FIELDS = {
+    "problem.family": (str, None, None),
+    "problem.dimension": (int, None, None),
+    "problem.alpha": (_NUMBER, None, None),
+    "problem.weight": (_NUMBER, lambda v: 0 < v < 1, "must be in (0, 1)"),
+    "problem.sigma": (
+        _NUMBER,
+        lambda v: v > 0
+        and 1 / sys.float_info.max < 2.0 * float(v) * float(v) < math.inf,
+        "must be positive with 1/(2 sigma**2) finite and nonzero",
     ),
-    ("algorithm", "particles"): _size(1),
-    ("algorithm", "mutation_steps"): _size(0),
-    ("algorithm", "sweeps"): _size(0),
-    ("algorithm", "step_size"): (lambda v: v > 0, "must be positive"),
-    ("algorithm", "replicates"): _size(1),
-    ("algorithm", "seed"): (lambda v: 0 <= v < 2**64, "must be in 0..2**64-1"),
-    ("algorithm", "engine"): (
-        lambda v: v in ENGINE_MODES,
-        "must be one of " + ", ".join(ENGINE_MODES),
+    "problem.center_scale": (_NUMBER, None, None),
+    "algorithm.method": (str, None, None),
+    "algorithm.particles": (int, lambda v: 1 <= v < 2**63, "must be in 1..2**63-1"),
+    "algorithm.mutation_steps": (
+        int, lambda v: 0 <= v < 2**63, "must be in 0..2**63-1"
     ),
+    "algorithm.sweeps": (int, lambda v: 0 <= v < 2**63, "must be in 0..2**63-1"),
+    "algorithm.seed": (int, lambda v: 0 <= v < 2**64, "must be in 0..2**64-1"),
+    "algorithm.step_size": (_NUMBER, lambda v: v > 0, "must be positive"),
+    "algorithm.engine": (
+        str, lambda v: v in ENGINE_MODES, "must be one of " + ", ".join(ENGINE_MODES)
+    ),
+    "algorithm.restricted": (bool, None, None),
+    "algorithm.pseudo_priors": (list, None, None),
+    "algorithm.replicates": (int, lambda v: 1 <= v < 2**63, "must be in 1..2**63-1"),
+    "output.directory": (str, None, None),
+    "bounds.epsilon": (_NUMBER, None, None),
+    "bounds.w": (_NUMBER, None, None),
+    "bounds.z": (_NUMBER, None, None),
+    "bounds.mu_star": (_NUMBER, None, None),
+    "bounds.p": (int, None, None),
+    "bounds.gamma": (_NUMBER, None, None),
+    "bounds.pi_star": (_NUMBER, None, None),
+    "bounds.min_gap": (_NUMBER, None, None),
 }
+_BLOCKS = {path.split(".")[0] for path in _FIELDS}
 
 
-def _check_limit(block: str, key: str, value, path: str):
-    if value is None or (block, key) not in _LIMITS:
+def _check_field(field: str, value, path: str):
+    """Check a value against the _FIELDS entry of field; None means unset.
+    Errors name path, which is field itself or the flag that overrides it."""
+    if value is None:
         return
-    test, requirement = _LIMITS[(block, key)]
-    if not test(value):
+    kind, test, requirement = _FIELDS[field]
+    # YAML true/false pass isinstance(_, int); only bool fields take them
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(path, f"expected {kind}, got {type(value).__name__}")
+    if kind is _NUMBER and not _finite(value):
+        raise ConfigError(path, f"must be finite, got {_shown(value)}")
+    if test is not None and not test(value):
         raise ConfigError(path, f"{requirement}, got {_shown(value)}")
 
 
@@ -162,36 +152,22 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a mapping")
     for key, block in cfg.items():
-        if key not in _SCHEMA:
-            raise ConfigError(key, "unknown key")
-        allowed = _SCHEMA[key]
-        if allowed is None:
+        if key == "sweep":  # free-form dotted paths to value lists
             if not isinstance(block, dict):
                 raise ConfigError(key, "must be a mapping of dotted paths to lists")
             for path, values in block.items():
                 if not isinstance(values, list) or not values:
                     raise ConfigError(f"{key}.{path}", "must be a nonempty list")
             continue
+        if key not in _BLOCKS:
+            raise ConfigError(key, "unknown key")
         if not isinstance(block, dict):
             raise ConfigError(key, "must be a mapping")
         for sub, value in block.items():
-            if sub not in allowed:
-                raise ConfigError(f"{key}.{sub}", "unknown key")
-            if value is None:
-                continue
-            # YAML true/false pass isinstance(_, int); only bool fields take them
-            if not isinstance(value, allowed[sub]) or (
-                isinstance(value, bool) and allowed[sub] is not bool
-            ):
-                raise ConfigError(
-                    f"{key}.{sub}",
-                    f"expected {allowed[sub]}, got {type(value).__name__}",
-                )
-            if allowed[sub] == (int, float) and not _finite(value):
-                raise ConfigError(
-                    f"{key}.{sub}", f"must be finite, got {_shown(value)}"
-                )
-            _check_limit(key, sub, value, f"{key}.{sub}")
+            path = f"{key}.{sub}"
+            if path not in _FIELDS:
+                raise ConfigError(path, "unknown key")
+            _check_field(path, value, path)
     return cfg
 
 
@@ -320,10 +296,7 @@ def _one_smc_run(cfg, seed, threads):
         np.bincount(report.final_cells, minlength=partition.n_cells)
         / report.final_cells.shape[0]
     )
-    tracking = (
-        float(cell_tracking_error(report, truth).max()) if truth is not None else None
-    )
-    return report, occupancy, tracking
+    return report, occupancy, float(cell_tracking_error(report, truth).max())
 
 
 def run_smc_from_config(cfg: dict, threads: int = 1, out_dir: Path | None = None):
@@ -351,9 +324,8 @@ def run_smc_from_config(cfg: dict, threads: int = 1, out_dir: Path | None = None
             "log_z": float(report.log_z),
             "cell_occupancy": [float(x) for x in occupancy],
             "stage_seconds": [float(s) for s in report.stage_seconds],
+            "max_tracking_error": tracking,
         }
-        if tracking is not None:
-            entry["max_tracking_error"] = tracking
         summaries.append(entry)
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -462,48 +434,38 @@ def bounds_from_config(cfg: dict, out_dir: Path | None = None) -> dict:
     family, partition, truth = build_problem(cfg)
     block = cfg.get("bounds", {})
     epsilon = block.get("epsilon", 0.25)
-    if hasattr(truth, "stage_probs"):  # enumerated space: everything is exact
-        space = truth
-        table = space.cell_mass_table()
-        inputs = boundsmod.BoundInputs(
-            epsilon=epsilon,
-            n_stages=space.n_stages,
-            p=space.n_cells,
-            W=block.get("w", space.weight_bound()),
-            Z=block.get("z", space.z_ratio_bound()),
-            mu_star=block.get("mu_star", space.mu_star()),
-            gamma=block.get("gamma", boundsmod.persistence(table)),
-            pi_star=block.get("pi_star", space.pi_star()),
-            min_gap=block.get("min_gap", _min_restricted_gap(space)),
-        )
-        out = boundsmod.bounds_table(inputs)
-        out["overlap_exact"] = boundsmod.overlap_discrete(space)
+    table = truth.cell_mass_table()
+    exact = isinstance(truth, DiscreteSpace)  # enumerated: exact W, Z and gaps
+    if exact:
+        W, Z = truth.weight_bound(), truth.z_ratio_bound()
+        min_gap = checks.min_restricted_gap(truth)
     else:
-        catalog = truth
-        table = catalog.cell_mass_table()
-        inputs = boundsmod.BoundInputs(
-            epsilon=epsilon,
-            n_stages=catalog.n_stages,
-            p=2,
-            W=block.get("w", catalog.w_value()),
-            Z=block.get("z", catalog.z_value()),
-            mu_star=block.get("mu_star", catalog.mu_star()),
-            gamma=block.get("gamma", boundsmod.persistence(table)),
-            pi_star=block.get("pi_star", float(table[-1].min())),
-            min_gap=block.get("min_gap"),
+        W, Z, min_gap = truth.w_value(), truth.z_value(), None
+    inputs = boundsmod.BoundInputs(
+        epsilon=epsilon,
+        n_stages=truth.n_stages,
+        p=table.shape[1],
+        W=block.get("w", W),
+        Z=block.get("z", Z),
+        mu_star=block.get("mu_star", float(table.min())),
+        gamma=block.get("gamma", boundsmod.persistence(table)),
+        pi_star=block.get("pi_star", float(table[-1].min())),
+        min_gap=block.get("min_gap", min_gap),
+    )
+    out = boundsmod.bounds_table(inputs)
+    if exact:
+        out["overlap_exact"] = boundsmod.overlap_discrete(truth)
+    elif family.name == "gaussian-mixture":
+        seed = cfg.get("algorithm", {}).get("seed", 0)
+        delta, se = boundsmod.overlap_monte_carlo(
+            family,
+            partition,
+            truth,
+            n_draws=100_000,
+            rng=rngmod.stream(seed, 0, rngmod.REPLICATE),
         )
-        out = boundsmod.bounds_table(inputs)
-        if family.name == "gaussian-mixture":
-            seed = cfg.get("algorithm", {}).get("seed", 0)
-            delta, se = boundsmod.overlap_monte_carlo(
-                family,
-                partition,
-                catalog,
-                n_draws=100_000,
-                rng=rngmod.stream(seed, 0, rngmod.REPLICATE),
-            )
-            out["overlap_mc"] = delta
-            out["overlap_mc_se"] = se
+        out["overlap_mc"] = delta
+        out["overlap_mc_se"] = se
     out["epsilon"] = epsilon
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -517,167 +479,6 @@ def _yamlable(v):
     if isinstance(v, (np.floating,)):
         return float(v)
     return v
-
-
-def _min_restricted_gap(space) -> float:
-    return min(
-        spectral_gap(sub, stationary=cond)
-        for v in range(1, space.n_stages + 1)
-        for sub, cond in checks.restricted_cell_blocks(space, v)
-    )
-
-
-# ---------------------------------------------------------------------------
-# verify: the distributional check suite on the reference instance.
-
-
-VERIFY_SEED = 20240
-
-
-def verify_suite(seed: int = VERIFY_SEED, quick: bool = False) -> list:
-    """Run the standing checks; returns (name, passed, detail) rows."""
-    rows = []
-    space = reference_four_state()
-
-    def record(name, passed, detail=""):
-        rows.append((name, bool(passed), detail))
-
-    # exact restricted stationarity + detailed balance at every stage
-    worst_db, worst_st = 0.0, 0.0
-    for v in range(1, space.n_stages + 1):
-        P = transition_matrix(stage_kernel(space.to_family(), v))
-        pi = space.stage_probs(v)
-        worst_db = max(worst_db, np.max(np.abs(pi[:, None] * P - (pi[:, None] * P).T)))
-        for sub, cond in checks.restricted_cell_blocks(space, v):
-            worst_st = max(worst_st, np.max(np.abs(cond @ sub - cond)))
-    record("detailed-balance-exact", worst_db < 1e-10, f"max flux asym {worst_db:.2e}")
-    record("restricted-stationarity", worst_st < 1e-10, f"max residual {worst_st:.2e}")
-
-    # warm mixing times never exceed the spectral-gap bound
-    ok, detail = True, []
-    for v in range(1, space.n_stages + 1):
-        for j, (sub, cond) in enumerate(checks.restricted_cell_blocks(space, v)):
-            gap = spectral_gap(sub, stationary=cond)
-            tau = checks.warm_mixing_time(sub, cond, 7, 0.01)
-            bound = mixing_time_bound(gap, 0.01, 7)
-            ok &= tau <= bound
-            detail.append(f"v{v}j{j}:{tau}<={bound}")
-    record("warm-mixing-vs-gap-bound", ok, " ".join(detail))
-
-    # coupling correctness on random pairs
-    gen = rngmod.stream(seed, 1, rngmod.REPLICATE)
-    n_pairs, draws = (5, 20_000) if quick else (20, 200_000)
-    ok = True
-    for _ in range(n_pairs):
-        m = int(gen.integers(2, 9))
-        f = gen.dirichlet(np.ones(m))
-        g = gen.dirichlet(np.ones(m))
-        pair = checks.coupling_map(f, g, gen, size=draws)
-        tv = checks.tv_distance(f, g)
-        dis = 1.0 - pair.equal.mean()
-        se = max(np.sqrt(tv * (1 - tv) / draws), 1e-6)
-        ok &= abs(dis - tv) <= 4 * se
-        for dist, drawn in ((f, pair.primary), (g, pair.shadow)):
-            freq = np.bincount(drawn, minlength=m) / draws
-            ses = np.sqrt(np.maximum(dist * (1 - dist), 1e-12) / draws)
-            ok &= np.all(np.abs(freq - dist) <= 4 * ses + 1e-9)
-    record("coupling-map", ok, f"{n_pairs} random pairs, {draws} draws each")
-
-    # resampling probabilities track cell masses within the phi sandwich
-    n_seeds = 30 if quick else 200
-    n_particles = 100_000 if quick else boundsmod.particle_bound(
-        0.5, space.n_stages, space.n_cells,
-        space.weight_bound(), space.z_ratio_bound(), space.mu_star(),
-    )
-    lam = boundsmod.lambda_of(0.5, space.n_stages)
-    f = boundsmod.phi(lam)
-    hit = 0
-    for r in range(n_seeds):
-        report = run(
-            RunConfig(
-                family=space.to_family(),
-                partition=space.to_partition(),
-                n_particles=n_particles,
-                mutation_steps=20,
-                seed=rngmod.substream_seed(seed + 1, r),
-            )
-        )
-        good = all(
-            np.all(d.resample_probs <= f**d.stage * space.cell_probs(d.stage) + 1e-15)
-            and np.all(
-                d.resample_probs >= f**-d.stage * space.cell_probs(d.stage) - 1e-15
-            )
-            for d in report.diagnostics
-        )
-        hit += good
-    record(
-        "resampling-sandwich",
-        hit / n_seeds > 0.75,
-        f"{hit}/{n_seeds} runs inside at N={n_particles}",
-    )
-
-    # local warmness of the resampled marginals
-    taus = [
-        max(checks.warm_mixing_times(space, v, 7, 1e-3))
-        for v in range(1, space.n_stages + 1)
-    ]
-    warm = checks.local_warmness_report(
-        space,
-        n_particles=2_000 if quick else 10_000,
-        t=max(taus) + 1,
-        n_runs=50 if quick else 200,
-        seed=seed + 2,
-    )
-    record(
-        "local-7-warmness",
-        all(r.ok for r in warm),
-        " ".join(f"v{r.stage}:{r.max_ratio:.3f}" for r in warm),
-    )
-
-    # conditional weight identity
-    idrows = checks.conditional_weight_identity(
-        space,
-        v=1,
-        n_particles=2_000,
-        t=25,
-        n_runs=200 if quick else 800,
-        seed=seed + 3,
-    )
-    tested = [r for r in idrows if r.ok is not None]
-    record(
-        "conditional-weight-identity",
-        bool(tested) and all(r.ok for r in tested),
-        f"{sum(r.ok for r in tested)}/{len(tested)} strata",
-    )
-
-    # one-stage concentration bound
-    conc = checks.stage_weight_concentration(
-        space, n_particles=1_000, lam=0.1, n_runs=2_000 if quick else 10_000,
-        seed=seed + 4,
-    )
-    record(
-        "weight-concentration",
-        conc.ok,
-        f"rate {conc.exceed_rate:.4f} <= bound {conc.bound:.4f} + 3se",
-    )
-
-    # normalizing-constant accuracy
-    n_z = 20 if quick else 100
-    exact = space.log_z(space.n_stages) - space.log_z(0)
-    good = 0
-    for r in range(n_z):
-        report = run(
-            RunConfig(
-                family=space.to_family(),
-                partition=space.to_partition(),
-                n_particles=10_000,
-                mutation_steps=100,
-                seed=rngmod.substream_seed(seed + 5, r),
-            )
-        )
-        good += abs(report.log_z - exact) <= 0.05
-    record("normalizing-constant", good >= 0.95 * n_z, f"{good}/{n_z} within 0.05")
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -786,13 +587,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        _check_limit("algorithm", "seed", args.seed, "--seed")
-        _check_limit("algorithm", "replicates", args.replicates, "--replicates")
+        _check_field("algorithm.seed", args.seed, "--seed")
+        _check_field("algorithm.replicates", args.replicates, "--replicates")
         if args.threads < 1:
             raise ConfigError("--threads", f"must be at least 1, got {args.threads}")
         if args.command == "verify":
-            seed = args.seed if args.seed is not None else VERIFY_SEED
-            rows = verify_suite(seed=seed, quick=args.quick)
+            seed = args.seed if args.seed is not None else checks.VERIFY_SEED
+            rows = checks.verify_suite(seed=seed, quick=args.quick)
             width = max(len(r[0]) for r in rows)
             for name, passed, detail in rows:
                 print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")

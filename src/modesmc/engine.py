@@ -324,16 +324,12 @@ def estimate_log_partition(report: RunReport) -> float:
     return float(sum(d.log_z_increment for d in report.diagnostics))
 
 
-def _cell_probs_of(catalog, v):
-    if hasattr(catalog, "cell_probability"):
-        return catalog.cell_probability(v)
-    return catalog.cell_probs(v)
-
-
 def cell_tracking_error(report: RunReport, catalog) -> np.ndarray:
-    """Per-stage max_j |p_hat_v_j - mu_v(A_j)| against a catalog or space."""
+    """Per-stage max_j |p_hat_v_j - mu_v(A_j)| against the cell_mass_table
+    of a catalog or space."""
+    table = catalog.cell_mass_table()
     errs = [
-        np.max(np.abs(d.resample_probs - _cell_probs_of(catalog, d.stage)))
+        np.max(np.abs(d.resample_probs - table[d.stage]))
         for d in report.diagnostics
     ]
     return np.asarray(errs)

@@ -180,7 +180,9 @@ class AnnealedFamily:
         """
         if not 1 <= v <= self.n_stages:
             raise ValueError(f"stage v must be in 1..{self.n_stages}, got {v}")
-        lq = np.asarray(self.log_q(x), dtype=float)
+        # an overflow shows as a non-finite lq, which the next line reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            lq = np.asarray(self.log_q(x), dtype=float)
         if not np.all(np.isfinite(lq)):
             raise InvalidStateError("non-finite base log density in batch")
         return (self.betas[v] - self.betas[v - 1]) * lq

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from modesmc import WeightCollapseError
 from modesmc.cli import (
+    _FIELDS,
     ConfigError,
     build_problem,
     config_hash,
@@ -87,6 +89,47 @@ class TestConfigHandling:
         cfg["problem"]["family"] = "beta-binomial"
         with pytest.raises(ConfigError):
             build_problem(cfg)
+
+
+# config values of every kind YAML can carry, alone or in a list or mapping
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.text(max_size=6)
+)
+_LEAVES = (
+    _SCALARS
+    | st.lists(_SCALARS, max_size=3)
+    | st.dictionaries(st.text(max_size=6), _SCALARS, max_size=3)
+)
+_PATHS = sorted(_FIELDS) + [
+    "problem.spin", "algorithm.bogus", "extra.key",
+    "sweep.problem.dimension", "sweep.algorithm.seed",
+]
+
+
+@st.composite
+def _config_dicts(draw):
+    cfg = {}
+    entries = draw(st.dictionaries(st.sampled_from(_PATHS), _LEAVES, max_size=8))
+    for path, value in entries.items():
+        block, sub = path.split(".", 1)
+        cfg.setdefault(block, {})[sub] = value
+    for block in draw(st.sets(st.sampled_from(["problem", "sweep", "output"]))):
+        cfg[block] = draw(_LEAVES)  # a whole block that is not a mapping
+    return cfg
+
+
+@settings(derandomize=True, database=None, max_examples=1000)
+@given(st.text() | _config_dicts().map(yaml.safe_dump))
+def test_parse_config_returns_mapping_or_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, dict)
 
 
 class TestCommands:
@@ -263,6 +306,9 @@ class TestCommands:
             ("gaussian_mixture", "sigma", -1.0, 2),
             ("gaussian_mixture", "sigma", 1.0e-300, 2),
             ("gaussian_mixture", "sigma", 1.0e300, 2),
+            # squares that are finite and nonzero, but 1/(2 sigma**2) is not
+            ("gaussian_mixture", "sigma", 1.0e-160, 2),
+            ("gaussian_mixture", "sigma", 1.3e154, 2),
             ("gaussian_mixture", "weight", 1.5, 2),
             ("gaussian_mixture", "weight", 0, 2),
             ("ising", "alpha", 1.0e308, 3),
@@ -289,6 +335,7 @@ class TestCommands:
             assert f"config error: problem.{key}: " in proc.stderr
         else:
             assert "runtime failure: non-finite" in proc.stderr
+            assert len(proc.stderr.splitlines()) == 1  # no numpy warning first
 
     @pytest.mark.parametrize(
         "text,problem",
@@ -561,3 +608,14 @@ class TestVerifyCommand:
         assert "PASS" in out and "FAIL" not in out
         table = (tmp_path / "verify.csv").read_text()
         assert table.startswith("check,passed,detail")
+        assert [line.split(",")[0] for line in table.splitlines()[1:]] == [
+            "detailed-balance-exact",
+            "restricted-stationarity",
+            "warm-mixing-vs-gap-bound",
+            "coupling-map",
+            "resampling-sandwich",
+            "local-7-warmness",
+            "conditional-weight-identity",
+            "weight-concentration",
+            "normalizing-constant",
+        ]
