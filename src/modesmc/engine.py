@@ -13,18 +13,21 @@ Mutation calls the ``mutate`` (or ``mutate_counts``) of the kernel
 ``stage_kernel`` returns, with the run's partition when it is restricted
 and none when it is not.
 
-Two law-equivalent execution paths exist. The generic path tracks an
-array of particle states. For enumerated (index) families the engine
-instead tracks per-state particle counts: conditionally on the counts the
-particles are exchangeable and every recorded quantity is a symmetric
-function of the population. The walk's rows have at most three nonzero
-entries (left, stay, right), so each mutation step splits every state's
-count by two binomial draws vectorised over all states
-(``DiscreteNeighborWalk.mutate_counts``). These count dynamics have
-exactly the distribution of per-particle simulation, cost O(m) per step
-for m states whatever N is, and support particle counts in the millions.
-Both paths compute the stage diagnostics with one function, from the log
-weight of each particle or of each occupied state's whole count.
+One loop runs both population representations, a pair (states, counts).
+On the particle path ``states`` holds one row per particle and ``counts``
+is None. For enumerated (index) families the engine instead tracks
+per-state particle counts: ``states`` is every state index and ``counts``
+holds each state's particles. Conditionally on the counts the particles
+are exchangeable and every recorded quantity is a symmetric function of
+the population, so both have one law. Only two steps differ: resampling
+draws particle rows, or a multinomial over states; mutation calls
+``mutate``, or ``mutate_counts``, which splits every state's count by
+two binomial draws vectorised over all states (the walk's rows have at
+most three nonzero entries, ``DiscreteNeighborWalk.mutate_counts``).
+The rest is written once: a state's log weight is its particle's plus
+log count, and the diagnostics, trace and report are shared. The count
+dynamics cost O(m) per step for m states whatever N is and support
+particle counts in the millions; the final counts are expanded to N rows.
 
 Output is a pure function of (config, seed): all randomness comes from
 counter-based per-(stage, phase) Philox streams, and mutation noise comes
@@ -36,7 +39,7 @@ never changes the result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -138,14 +141,19 @@ def initialize(config: RunConfig) -> ParticleSystem:
     return ParticleSystem(states=states, cells=cells, v=0)
 
 
-def _stage_diagnostics(stage, log_mass, cells, n, p, occupancy_before):
-    """Collapse check and per-cell log weight sums of one stage.
+def _histogram(labels, counts, size):
+    """Particles per label, from one label per particle (``counts`` None)
+    or one per state holding ``counts`` particles."""
+    return np.bincount(labels, weights=counts, minlength=size).astype(np.int64)
 
-    ``log_mass`` is the log weight of each particle (particle path) or of
-    each state's whole count (count path), and ``cells`` its cell labels.
-    Runs before the resampling draw, so it returns the log total weight
-    with diagnostics whose ``occupancy_after`` the caller fills in after
-    the draw.
+
+def _resample(stage, n, log_mass, states, cells, counts, gen, p):
+    """Stage diagnostics and the multinomial resampling draw of a population.
+
+    ``log_mass`` is the log weight of each particle (``counts`` None) or of
+    each state's whole count. The draw picks N particle rows, or N states
+    into new counts. Returns the resampled (states, cells, counts) and the
+    stage's diagnostics; all-zero weights raise WeightCollapseError.
     """
     log_total = logsumexp(log_mass)
     if not np.isfinite(log_total):
@@ -155,32 +163,23 @@ def _stage_diagnostics(stage, log_mass, cells, n, p, occupancy_before):
         mask = cells == j
         if mask.any():
             log_cell[j] = logsumexp(log_mass[mask])
+    before = _histogram(cells, counts, p)
+    if counts is None:
+        probs = np.exp(log_mass - log_mass.max())
+        idx = gen.choice(n, size=n, p=probs / probs.sum())
+        states, cells = states[idx], cells[idx]
+    else:
+        pick = np.exp(log_mass - log_total)
+        counts = gen.multinomial(n, pick / pick.sum())
     diag = StepDiagnostics(
         stage=stage,
         cell_weight_sums=np.exp(log_cell - np.log(n)),
         resample_probs=np.exp(log_cell - log_total),
-        occupancy_before=occupancy_before,
-        occupancy_after=None,
+        occupancy_before=before,
+        occupancy_after=_histogram(cells, counts, p),
         log_z_increment=float(log_total - np.log(n)),
     )
-    return log_total, diag
-
-
-def _resample_from_log(system, logw, gen, partition, stage):
-    _, diag = _stage_diagnostics(
-        stage,
-        logw,
-        system.cells,
-        system.n,
-        partition.n_cells,
-        partition.occupancy(system.cells),
-    )
-    probs = np.exp(logw - logw.max())
-    idx = gen.choice(system.n, size=system.n, p=probs / probs.sum())
-    states = system.states[idx]
-    cells = system.cells[idx]
-    diag = replace(diag, occupancy_after=partition.occupancy(cells))
-    return ParticleSystem(states=states, cells=cells, v=system.v), diag
+    return states, cells, counts, diag
 
 
 def resample(system: ParticleSystem, weights, rng, partition: Partition, stage=None):
@@ -197,7 +196,11 @@ def resample(system: ParticleSystem, weights, rng, partition: Partition, stage=N
     stage = system.v + 1 if stage is None else stage
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
-    return _resample_from_log(system, logw, rng, partition, stage)
+    states, cells, _, diag = _resample(
+        stage, system.n, logw, system.states, system.cells, None, rng,
+        partition.n_cells,
+    )
+    return ParticleSystem(states=states, cells=cells, v=system.v), diag
 
 
 def mutate(system: ParticleSystem, kernel: RestrictedKernel, t: int, rng, workers=1):
@@ -206,107 +209,61 @@ def mutate(system: ParticleSystem, kernel: RestrictedKernel, t: int, rng, worker
     return ParticleSystem(states=states, cells=system.cells.copy(), v=system.v)
 
 
-def _run_particles(config: RunConfig) -> RunReport:
-    family, partition = config.family, config.partition
-    system = initialize(config)
-    diagnostics, seconds, trace = [], [], []
-    for v in range(1, family.n_stages + 1):
-        tic = time.perf_counter()
-        logw = family.log_weight(v, system.states)
-        system, diag = _resample_from_log(
-            system, logw, rngmod.stream(config.seed, v, rngmod.RESAMPLE), partition, v
-        )
-        if config.record_resampled:
-            trace.append(_trace_snapshot(system.states, family))
-        states = stage_kernel(family, v, step_size=config.step_size).mutate(
-            system.states,
-            config.mutation_steps,
-            rngmod.stream(config.seed, v, rngmod.MUTATE),
-            cells=system.cells,
-            partition=partition if config.restricted else None,
-            workers=config.workers,
-        )
-        cells = system.cells if config.restricted else partition.classify(states)
-        system = ParticleSystem(states=states, cells=cells, v=v)
-        diagnostics.append(diag)
-        seconds.append(time.perf_counter() - tic)
-    return RunReport(
-        config=config,
-        seed=config.seed,
-        final_states=system.states,
-        final_cells=system.cells,
-        diagnostics=diagnostics,
-        log_z=float(sum(d.log_z_increment for d in diagnostics)),
-        stage_seconds=seconds,
-        resampled_trace=trace if config.record_resampled else None,
-    )
-
-
-def _trace_snapshot(states, family):
-    if family.kind == "index":
-        return np.bincount(states, minlength=family.index_log_mass.size)
-    return np.array(states, copy=True)
-
-
-def _run_counts(config: RunConfig) -> RunReport:
-    family, partition = config.family, config.partition
-    base_lm = family.index_log_mass
-    m = base_lm.size
-    state_ids = np.arange(m)
-    labels = partition.classify(state_ids)
-    p = partition.n_cells
-    n = config.n_particles
-
-    def occupancy(c):
-        return np.bincount(labels, weights=c, minlength=p).astype(np.int64)
-
-    lm0 = family.betas[0] * base_lm
-    probs0 = np.exp(lm0 - lm0.max())
-    probs0 /= probs0.sum()
-    counts = rngmod.stream(config.seed, 0, rngmod.INIT).multinomial(n, probs0)
-
-    diagnostics, seconds, trace = [], [], []
-    for v in range(1, family.n_stages + 1):
-        tic = time.perf_counter()
-        with np.errstate(divide="ignore"):
-            log_mass = np.log(counts)  # -inf on empty states
-        log_mass += (family.betas[v] - family.betas[v - 1]) * base_lm
-        log_total, diag = _stage_diagnostics(
-            v, log_mass, labels, n, p, occupancy(counts)
-        )
-        pick = np.exp(log_mass - log_total)
-        pick /= pick.sum()
-        gen = rngmod.stream(config.seed, v, rngmod.RESAMPLE)
-        counts = gen.multinomial(n, pick)
-        if config.record_resampled:
-            trace.append(counts.copy())
-        diagnostics.append(replace(diag, occupancy_after=occupancy(counts)))
-        counts = stage_kernel(family, v).mutate_counts(
-            counts,
-            config.mutation_steps,
-            rngmod.stream(config.seed, v, rngmod.MUTATE),
-            partition=partition if config.restricted else None,
-        )
-        seconds.append(time.perf_counter() - tic)
-
-    final_states = np.repeat(state_ids, counts)
-    return RunReport(
-        config=config,
-        seed=config.seed,
-        final_states=final_states,
-        final_cells=np.repeat(labels, counts),
-        diagnostics=diagnostics,
-        log_z=float(sum(d.log_z_increment for d in diagnostics)),
-        stage_seconds=seconds,
-        resampled_trace=trace if config.record_resampled else None,
-    )
-
-
 def run(config: RunConfig) -> RunReport:
     """Execute a full run; deterministic given the config (incl. seed)."""
+    family, partition, n = config.family, config.partition, config.n_particles
+    restrict = partition if config.restricted else None
+    gen = rngmod.stream(config.seed, 0, rngmod.INIT)
     if config.uses_counts():
-        return _run_counts(config)
-    return _run_particles(config)
+        lm0 = family.betas[0] * family.index_log_mass
+        probs0 = np.exp(lm0 - lm0.max())
+        states, counts = np.arange(lm0.size), gen.multinomial(n, probs0 / probs0.sum())
+    else:
+        states, counts = family.sample_initial(n, gen), None
+    cells = partition.classify(states)
+    diagnostics, seconds, trace = [], [], []
+    for v in range(1, family.n_stages + 1):
+        tic = time.perf_counter()
+        log_mass = family.log_weight(v, states)
+        if counts is not None:
+            with np.errstate(divide="ignore"):
+                log_mass += np.log(counts)  # -inf on empty states
+        states, cells, counts, diag = _resample(
+            v, n, log_mass, states, cells, counts,
+            rngmod.stream(config.seed, v, rngmod.RESAMPLE), partition.n_cells,
+        )
+        diagnostics.append(diag)
+        if config.record_resampled:  # index families: a histogram over states
+            if family.kind == "index":
+                trace.append(_histogram(states, counts, family.index_log_mass.size))
+            else:
+                trace.append(states.copy())
+        kernel = stage_kernel(family, v, step_size=config.step_size)
+        gen = rngmod.stream(config.seed, v, rngmod.MUTATE)
+        if counts is None:
+            states = kernel.mutate(
+                states, config.mutation_steps, gen, cells=cells,
+                partition=restrict, workers=config.workers,
+            )
+            if restrict is None:
+                cells = partition.classify(states)
+        else:
+            counts = kernel.mutate_counts(
+                counts, config.mutation_steps, gen, partition=restrict
+            )
+        seconds.append(time.perf_counter() - tic)
+    if counts is not None:  # one row per particle, as callers index them
+        states, cells = np.repeat(states, counts), np.repeat(cells, counts)
+    return RunReport(
+        config=config,
+        seed=config.seed,
+        final_states=states,
+        final_cells=cells,
+        diagnostics=diagnostics,
+        log_z=float(sum(d.log_z_increment for d in diagnostics)),
+        stage_seconds=seconds,
+        resampled_trace=trace if config.record_resampled else None,
+    )
 
 
 def estimate(report: RunReport, f: Callable) -> float:

@@ -24,6 +24,23 @@ class InvalidStateError(ValueError):
     """A state outside the family's support (non-finite log density)."""
 
 
+# numpy error state to evaluate log q in: an overflow shows as a non-finite
+# value, which finite_log_q then reports as one error, not as warnings
+QUIET_LOG_Q = {"over": "ignore", "invalid": "ignore"}
+
+
+def finite_log_q(lq) -> np.ndarray:
+    """Base log densities as floats; InvalidStateError unless all are finite.
+
+    The one finiteness rule for log q values: the engine's log weights and
+    every density a tempering chain computes pass through it.
+    """
+    lq = np.asarray(lq, dtype=float)
+    if not np.all(np.isfinite(lq)):
+        raise InvalidStateError("non-finite base log density in batch")
+    return lq
+
+
 # where _row_sum adds columns (see its docstring)
 _MAX_FLOAT_COLUMNS = 7
 _MAX_INT_COLUMNS = 15
@@ -106,10 +123,6 @@ class Partition:
     classify: Callable[[np.ndarray], np.ndarray]
     name: str = "partition"
 
-    def occupancy(self, cells: np.ndarray) -> np.ndarray:
-        """Per-cell counts for a batch of cell labels."""
-        return np.bincount(cells, minlength=self.n_cells)
-
 
 @dataclass(frozen=True)
 class AnnealedFamily:
@@ -169,10 +182,6 @@ class AnnealedFamily:
         """V, the number of reweight/mutate stages after initialization."""
         return len(self.betas) - 1
 
-    def stage_log_density(self, v: int, x: np.ndarray) -> np.ndarray:
-        """log of the stage-v unnormalized density, beta_v * log q."""
-        return self.betas[v] * self.log_q(x)
-
     def log_weight(self, v: int, x: np.ndarray) -> np.ndarray:
         """Log importance weight into stage v: (beta_v - beta_{v-1}) log q(x).
 
@@ -180,11 +189,8 @@ class AnnealedFamily:
         """
         if not 1 <= v <= self.n_stages:
             raise ValueError(f"stage v must be in 1..{self.n_stages}, got {v}")
-        # an overflow shows as a non-finite lq, which the next line reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            lq = np.asarray(self.log_q(x), dtype=float)
-        if not np.all(np.isfinite(lq)):
-            raise InvalidStateError("non-finite base log density in batch")
+        with np.errstate(**QUIET_LOG_Q):
+            lq = finite_log_q(self.log_q(x))
         return (self.betas[v] - self.betas[v - 1]) * lq
 
 

@@ -25,6 +25,10 @@ log u < b*(lq(y) - lq(x)), an ST jump from level k to j if
 log u < (b_j - b_k)*lq + (psi_j - psi_k). The two move forms have one law
 but may round differently; each keeps the arithmetic of the scalar loops
 enumerated families had before, so those outputs stay byte-identical.
+
+Every ``log q`` a chain computes must be finite (``families.finite_log_q``,
+the engine's rule): the initial chains are checked at once and the
+proposals once per block, and a failure raises InvalidStateError.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .families import AnnealedFamily, Partition
+from .families import QUIET_LOG_Q, AnnealedFamily, Partition, finite_log_q
 from .kernels import stage_kernel
 
 _MAX_BLOCK = 8192
@@ -88,7 +92,8 @@ def pt_run(family: AnnealedFamily, n_sweeps: int, seed: int,
     betas = np.asarray(family.betas)
     n = betas.size
     kernel, scale, block, x, counts = _chains(family, step_size, seed, n)
-    lq = np.asarray(family.log_q(x), dtype=float)
+    with np.errstate(**QUIET_LOG_Q):
+        lq = finite_log_q(family.log_q(x))
     attempts = np.zeros(n - 1, dtype=np.int64)
     accepts = np.zeros(n - 1, dtype=np.int64)
     trace = None
@@ -105,17 +110,20 @@ def pt_run(family: AnnealedFamily, n_sweeps: int, seed: int,
         pair = sgen.integers(0, n - 1, size=b)
         slogu = np.log(sgen.random(b)).tolist()
         held = np.empty((b, *x.shape), x.dtype)
-        for s, k in enumerate(pair.tolist()):
-            y = kernel.propose(x, moves[s])
-            lq_y = np.asarray(family.log_q(y), dtype=float)
-            acc = logu[s] < betas * lq_y - betas * lq
-            x[acc] = y[acc]
-            lq[acc] = lq_y[acc]
-            if slogu[s] < (betas[k + 1] - betas[k]) * (lq[k] - lq[k + 1]):
-                x[[k, k + 1]] = x[[k + 1, k]]
-                lq[[k, k + 1]] = lq[[k + 1, k]]
-                accepts[k] += 1
-            held[s] = x
+        proposed = np.empty((b, n))
+        with np.errstate(**QUIET_LOG_Q):
+            for s, k in enumerate(pair.tolist()):
+                y = kernel.propose(x, moves[s])
+                lq_y = proposed[s] = family.log_q(y)
+                acc = logu[s] < betas * lq_y - betas * lq
+                x[acc] = y[acc]
+                lq[acc] = lq_y[acc]
+                if slogu[s] < (betas[k + 1] - betas[k]) * (lq[k] - lq[k + 1]):
+                    x[[k, k + 1]] = x[[k + 1, k]]
+                    lq[[k, k + 1]] = lq[[k + 1, k]]
+                    accepts[k] += 1
+                held[s] = x
+        finite_log_q(proposed)
         attempts += np.bincount(pair, minlength=n - 1)
         if trace is not None:
             trace[done : done + b] = held[:, -1]
@@ -150,7 +158,8 @@ def st_run(family: AnnealedFamily, n_sweeps: int, seed: int, log_pseudo,
     betas = family.betas
     n_temps = len(betas)
     kernel, scale, block, x, counts = _chains(family, step_size, seed, 1)
-    lq = family.log_q(x)[0]
+    with np.errstate(**QUIET_LOG_Q):
+        lq = finite_log_q(family.log_q(x))[0]
     k = 0
     temp_counts = np.zeros(n_temps, dtype=np.int64)
     trace = np.empty(n_sweeps, dtype=np.int64) if record_temp_trace else None
@@ -163,18 +172,21 @@ def st_run(family: AnnealedFamily, n_sweeps: int, seed: int, log_pseudo,
         logj = np.log(gen.random(b)).tolist()
         temps = np.empty(b, dtype=np.int64)
         held = np.empty((b, *x.shape), x.dtype)
-        for s in range(b):
-            move = moves[s] if scale is None else moves[s] * scale[k]
-            y = kernel.propose(x, move)
-            lq_y = family.log_q(y)[0]
-            if logu[s] < betas[k] * (lq_y - lq):
-                x, lq = y, lq_y
-            j = k + jumps[s]
-            if 0 <= j < n_temps and logj[s] < (betas[j] - betas[k]) * lq + (
-                    log_pseudo[j] - log_pseudo[k]):
-                k = j
-            temps[s] = k
-            held[s] = x
+        proposed = np.empty(b)
+        with np.errstate(**QUIET_LOG_Q):
+            for s in range(b):
+                move = moves[s] if scale is None else moves[s] * scale[k]
+                y = kernel.propose(x, move)
+                lq_y = proposed[s] = family.log_q(y)[0]
+                if logu[s] < betas[k] * (lq_y - lq):
+                    x, lq = y, lq_y
+                j = k + jumps[s]
+                if 0 <= j < n_temps and logj[s] < (betas[j] - betas[k]) * lq + (
+                        log_pseudo[j] - log_pseudo[k]):
+                    k = j
+                temps[s] = k
+                held[s] = x
+        finite_log_q(proposed)
         temp_counts += np.bincount(temps, minlength=n_temps)
         if trace is not None:
             trace[done : done + b] = temps

@@ -337,6 +337,25 @@ class TestCommands:
             assert "runtime failure: non-finite" in proc.stderr
             assert len(proc.stderr.splitlines()) == 1  # no numpy warning first
 
+    @pytest.mark.parametrize("method", ["pt", "st"])
+    def test_tempering_non_finite_density_exits_3(self, tmp_path, method):
+        # alpha/(2d) (sum x)^2 overflows to inf on the spin sums +-5
+        algo = {"method": method, "sweeps": 20, "seed": 42}
+        if method == "st":
+            algo["pseudo_priors"] = [1.0] * 6  # given, so no SMC run first
+        cfg = {"problem": {"family": "ising", "dimension": 5, "alpha": 1.0e308},
+               "algorithm": algo}
+        proc = subprocess.run(
+            [sys.executable, "-m", "modesmc", f"run-{method}",
+             "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("runtime failure: non-finite")
+        assert len(proc.stderr.splitlines()) == 1  # no numpy warning first
+        assert not (tmp_path / "o" / "summary.yaml").exists()
+
     @pytest.mark.parametrize(
         "text,problem",
         [

@@ -250,9 +250,20 @@ class TestRun:
         assert a.log_z == b.log_z
 
     @pytest.mark.parametrize("restricted", [True, False])
-    def test_count_path_final_cells_classify_final_states(self, space, restricted):
-        report = run(_cfg(space, seed=6, restricted=restricted))
+    @pytest.mark.parametrize("engine_mode", ["counts", "particles"])
+    def test_final_cells_classify_final_states(self, space, engine_mode, restricted):
+        report = run(_cfg(space, seed=6, restricted=restricted, engine_mode=engine_mode))
         cells = space.to_partition().classify(report.final_states)
+        assert report.final_cells.dtype == cells.dtype
+        assert np.array_equal(report.final_cells, cells)
+
+    @pytest.mark.parametrize("problem", ["spin5", "gauss3"])
+    def test_unrestricted_particle_cells_reclassified(self, problem):
+        # unrestricted mutation crosses cells, so the labels must follow it
+        fam, part = ising_target(5, 1.0) if problem == "spin5" else gaussian_mixture_target(3)
+        report = run(RunConfig(family=fam, partition=part, n_particles=1_000,
+                               mutation_steps=10, seed=6, restricted=False))
+        cells = part.classify(report.final_states)
         assert report.final_cells.dtype == cells.dtype
         assert np.array_equal(report.final_cells, cells)
 
@@ -377,7 +388,37 @@ class TestCellTracking:
 
 class TestTrace:
     def test_resampled_trace_counts(self, space):
-        report = run(_cfg(space, n=1_000, t=5, seed=47, record_resampled=True))
-        assert len(report.resampled_trace) == space.n_stages
-        for counts in report.resampled_trace:
-            assert counts.sum() == 1_000
+        for mode in ("counts", "particles"):
+            report = run(_cfg(space, n=1_000, t=5, seed=47, record_resampled=True,
+                              engine_mode=mode))
+            assert len(report.resampled_trace) == space.n_stages
+            for counts in report.resampled_trace:
+                assert counts.shape == (space.n_states,)
+                assert counts.sum() == 1_000
+
+    def test_resampled_trace_copies_particle_rows(self, monkeypatch):
+        # a kernel that moves its input rows in place must not reach the
+        # trace; unrestricted, so an entry aliasing the mutated rows would
+        # show other cells than its stage's resampled occupancy
+        def in_place_kernel(*args, **kwargs):
+            kernel = stage_kernel(*args, **kwargs)
+            mutate = kernel.mutate
+
+            def mutate_in_place(states, *a, **k):
+                states[...] = mutate(states, *a, **k)
+                return states
+
+            kernel.mutate = mutate_in_place
+            return kernel
+
+        monkeypatch.setattr("modesmc.engine.stage_kernel", in_place_kernel)
+        fam, part = gaussian_mixture_target(3)
+        report = run(RunConfig(family=fam, partition=part, n_particles=1_000,
+                               mutation_steps=10, seed=48, restricted=False,
+                               record_resampled=True))
+        assert len(report.resampled_trace) == fam.n_stages
+        for states, diag in zip(report.resampled_trace, report.diagnostics):
+            assert states.shape == (1_000, 3)
+            assert not np.shares_memory(states, report.final_states)
+            occupancy = np.bincount(part.classify(states), minlength=2)
+            assert np.array_equal(occupancy, diag.occupancy_after)
