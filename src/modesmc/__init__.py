@@ -29,7 +29,6 @@ from .families import (
 )
 from .kernels import (
     DiscreteNeighborWalk,
-    IdentityKernel,
     RandomWalkMetropolis,
     RestrictedKernel,
     SingleSiteFlip,
@@ -48,7 +47,6 @@ from .engine import (
     WeightCollapseError,
     cell_tracking_error,
     estimate,
-    estimate_log_partition,
     initialize,
     mutate,
     resample,
@@ -71,7 +69,6 @@ from .bounds import (
 )
 from .discrete import (
     DiscreteSpace,
-    exact_annealed,
     ising_space,
     random_tempered_space,
     reference_four_state,

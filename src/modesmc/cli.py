@@ -78,7 +78,8 @@ _NUMBER = (int, float)
 # dotted path -> (type, test, requirement); the test covers what the type
 # alone does not. Sizes stop below 2**63, the most numpy can index. The
 # sigma test is what gaussian_mixture_target computes: 1/(2 sigma**2) must
-# be finite and nonzero.
+# be finite and nonzero. The bounds ranges are what bounds.lambda_of and
+# gap_based_t_bound accept.
 _FIELDS = {
     "problem.family": (str, None, None),
     "problem.dimension": (int, None, None),
@@ -106,14 +107,8 @@ _FIELDS = {
     "algorithm.pseudo_priors": (list, None, None),
     "algorithm.replicates": (int, lambda v: 1 <= v < 2**63, "must be in 1..2**63-1"),
     "output.directory": (str, None, None),
-    "bounds.epsilon": (_NUMBER, None, None),
-    "bounds.w": (_NUMBER, None, None),
-    "bounds.z": (_NUMBER, None, None),
-    "bounds.mu_star": (_NUMBER, None, None),
-    "bounds.p": (int, None, None),
-    "bounds.gamma": (_NUMBER, None, None),
-    "bounds.pi_star": (_NUMBER, None, None),
-    "bounds.min_gap": (_NUMBER, None, None),
+    "bounds.epsilon": (_NUMBER, lambda v: 0 < v <= 0.5, "must be in (0, 1/2]"),
+    "bounds.min_gap": (_NUMBER, lambda v: 0 < v <= 1, "must be in (0, 1]"),
 }
 _BLOCKS = {path.split(".")[0] for path in _FIELDS}
 
@@ -202,9 +197,9 @@ def config_hash(cfg: dict) -> str:
 
 def build_problem(cfg: dict):
     """Return (family, partition, truth) where truth is a catalog or space."""
-    family_tag = _require(cfg, "problem", "family")
+    name = _require(cfg, "problem", "family")
     prob = cfg.get("problem", {})
-    if family_tag == "ising":
+    if name == "ising":
         d = _require(cfg, "problem", "dimension")
         if d < 1 or d % 2 == 0:
             raise ConfigError(
@@ -212,7 +207,7 @@ def build_problem(cfg: dict):
             )
         family, partition = ising_target(d, prob.get("alpha", 1.0))
         return family, partition, analytic_catalog(family)
-    if family_tag == "gaussian_mixture":
+    if name == "gaussian_mixture":
         d = _require(cfg, "problem", "dimension")
         if d < 2:
             raise ConfigError(
@@ -225,10 +220,10 @@ def build_problem(cfg: dict):
             nu=prob.get("center_scale", 1.0),
         )
         return family, partition, analytic_catalog(family)
-    if family_tag == "four_state":
+    if name == "four_state":
         space = reference_four_state()
         return space.to_family(), space.to_partition(), space
-    raise ConfigError("problem.family", f"unknown family {family_tag!r}")
+    raise ConfigError("problem.family", f"unknown family {name!r}")
 
 
 def _fmt(value) -> str:
@@ -445,11 +440,11 @@ def bounds_from_config(cfg: dict, out_dir: Path | None = None) -> dict:
         epsilon=epsilon,
         n_stages=truth.n_stages,
         p=table.shape[1],
-        W=block.get("w", W),
-        Z=block.get("z", Z),
-        mu_star=block.get("mu_star", float(table.min())),
-        gamma=block.get("gamma", boundsmod.persistence(table)),
-        pi_star=block.get("pi_star", float(table[-1].min())),
+        W=W,
+        Z=Z,
+        mu_star=float(table.min()),
+        gamma=boundsmod.persistence(table),
+        pi_star=float(table[-1].min()),
         min_gap=block.get("min_gap", min_gap),
     )
     out = boundsmod.bounds_table(inputs)

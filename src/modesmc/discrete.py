@@ -9,7 +9,7 @@ compared against sampler output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -17,12 +17,6 @@ from scipy.special import logsumexp
 from .families import AnnealedFamily, Partition, index_family, index_partition
 
 MAX_STATES = 10_000
-
-
-class StageSummary(NamedTuple):
-    cell_probs: np.ndarray
-    z: float
-    conditionals: list
 
 
 @dataclass(frozen=True)
@@ -125,15 +119,6 @@ class DiscreteSpace:
 
     def to_partition(self) -> Partition:
         return index_partition(self.labels)
-
-
-def exact_annealed(space: DiscreteSpace, v: int) -> StageSummary:
-    """Exact stage-v cell probabilities, normalizer, and conditionals."""
-    return StageSummary(
-        cell_probs=space.cell_probs(v),
-        z=np.exp(space.log_z(v)),
-        conditionals=[space.conditional(v, j) for j in range(space.n_cells)],
-    )
 
 
 def reference_four_state() -> DiscreteSpace:

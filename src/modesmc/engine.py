@@ -276,11 +276,6 @@ def estimate(report: RunReport, f: Callable) -> float:
     return float(values.mean())
 
 
-def estimate_log_partition(report: RunReport) -> float:
-    """Estimate of log(z_V / z_0): the summed log weight-mean increments."""
-    return float(sum(d.log_z_increment for d in report.diagnostics))
-
-
 def cell_tracking_error(report: RunReport, catalog) -> np.ndarray:
     """Per-stage max_j |p_hat_v_j - mu_v(A_j)| against the cell_mass_table
     of a catalog or space."""

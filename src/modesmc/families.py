@@ -399,8 +399,6 @@ class GaussianMixtureCatalog:
     nu: float
     betas: tuple
 
-    family_tag = "gaussian-mixture"
-
     @property
     def n_stages(self):
         return len(self.betas) - 1
@@ -456,8 +454,6 @@ class IsingCatalog:
     d: int
     alpha: float
     betas: tuple
-
-    family_tag = "mean-field-ising"
 
     @property
     def n_stages(self):

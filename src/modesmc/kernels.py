@@ -50,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .families import AnnealedFamily, Partition
+from .families import QUIET_LOG_Q, AnnealedFamily, Partition, finite_log_q
 
 
 def default_step_variance(sigma: float, beta: float, d: int) -> float:
@@ -90,6 +90,7 @@ class _Metropolis:
     ``draw_moves(gen, 1, rows)`` and then ``rows`` acceptance uniforms, and
     runs the step once over each worker's contiguous range of blocks. Its
     memory is O(N + workers 1024) rows whatever t is (module docstring).
+    A proposal whose log density is not finite raises InvalidStateError.
     """
 
     dtype = None
@@ -111,20 +112,22 @@ class _Metropolis:
             m = sl.stop - sl.start
             rows = [slice(a, min(a + _BLOCK, m)) for a in range(0, m, _BLOCK)]
             moves, logu = None, np.empty(m)  # one step's noise, reused
-            for _ in range(t):
-                parts = []
-                for gen, r in zip(gens, rows):
-                    parts.append(self.draw_moves(gen, 1, r.stop - r.start)[0])
-                    gen.random(out=logu[r])
-                moves = np.concatenate(parts, out=moves)
-                np.log(logu, out=logu)
-                y = self.propose(xs, moves)
-                lpy = np.asarray(self.log_density(y), dtype=float)
-                acc = logu < (lpy - lp)
-                if partition is not None:
-                    acc &= partition.classify(y) == cs
-                xs[acc] = y[acc]
-                lp[acc] = lpy[acc]
+            # a worker thread does not inherit the caller's numpy error state
+            with np.errstate(**QUIET_LOG_Q):
+                for _ in range(t):
+                    parts = []
+                    for gen, r in zip(gens, rows):
+                        parts.append(self.draw_moves(gen, 1, r.stop - r.start)[0])
+                        gen.random(out=logu[r])
+                    moves = np.concatenate(parts, out=moves)
+                    np.log(logu, out=logu)
+                    y = self.propose(xs, moves)
+                    lpy = finite_log_q(self.log_density(y))
+                    acc = logu < (lpy - lp)
+                    if partition is not None:
+                        acc &= partition.classify(y) == cs
+                    xs[acc] = y[acc]
+                    lp[acc] = lpy[acc]
             x[sl], logp[sl] = xs, lp
 
         _run_chunked(task, n_blocks, workers)
@@ -141,7 +144,6 @@ class RandomWalkMetropolis(_Metropolis):
     increment; the default comes from ``default_step_variance``.
     """
 
-    kind = "real"
     dtype = float
 
     def __init__(self, log_density: Callable, proposal_std: float, dim: int):
@@ -161,8 +163,6 @@ class RandomWalkMetropolis(_Metropolis):
 class SingleSiteFlip(_Metropolis):
     """Metropolis kernel flipping one uniformly chosen spin per step."""
 
-    kind = "spin"
-
     def __init__(self, log_density: Callable, dim: int):
         self.log_density = log_density
         self.dim = int(dim)
@@ -179,7 +179,6 @@ class SingleSiteFlip(_Metropolis):
 class DiscreteNeighborWalk(_Metropolis):
     """Metropolized nearest-neighbor walk on an enumerated path of states."""
 
-    kind = "index"
     dtype = np.int64
 
     def __init__(self, log_mass: np.ndarray):
@@ -256,18 +255,6 @@ class DiscreteNeighborWalk(_Metropolis):
             counts[:-1] += left[1:]
             counts[1:] += right[:-1]
         return counts
-
-
-class IdentityKernel:
-    """The do-nothing kernel; handy as a degenerate fixture."""
-
-    kind = "any"
-
-    def mutate(self, states, t, rng, cells=None, partition=None, workers=1):
-        return np.array(states, copy=True)
-
-    def step(self, states, rng, cells=None, partition=None):
-        return np.array(states, copy=True)
 
 
 @dataclass(frozen=True)
@@ -355,10 +342,10 @@ def spin_flip_transition_matrix(log_density_vector: np.ndarray, d: int) -> np.nd
     return P
 
 
-def transition_matrix(kernel, n_states: Optional[int] = None) -> np.ndarray:
+def transition_matrix(kernel) -> np.ndarray:
     """Exact row-stochastic matrix of a discrete-capable kernel."""
     if isinstance(kernel, RestrictedKernel):
-        P = transition_matrix(kernel.base, n_states=n_states)
+        P = transition_matrix(kernel.base)
         labels = kernel.partition.classify(np.arange(P.shape[0]))
         return restrict_transition_matrix(P, labels)
     if isinstance(kernel, DiscreteNeighborWalk):
@@ -372,10 +359,6 @@ def transition_matrix(kernel, n_states: Optional[int] = None) -> np.ndarray:
 
         lm = np.asarray(kernel.log_density(enumerate_spins(kernel.dim)), dtype=float)
         return spin_flip_transition_matrix(lm, kernel.dim)
-    if isinstance(kernel, IdentityKernel):
-        if n_states is None:
-            raise ValueError("identity kernel needs an explicit state count")
-        return np.eye(n_states)
     raise TypeError(f"no exact transition matrix for {type(kernel).__name__}")
 
 

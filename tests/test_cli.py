@@ -140,12 +140,19 @@ class TestCommands:
         assert main(["run-smc", "--config", str(path)]) == 2
         assert "algorithm.particles" in capsys.readouterr().err
 
-    def test_unknown_key_exits_2(self, tmp_path, capsys):
+    # bounds computes W, Z, mu*, p, gamma and pi* itself, so it takes none
+    @pytest.mark.parametrize(
+        "path,value",
+        [("problem.spin", 1), ("bounds.w", 2.0), ("bounds.z", 2.0),
+         ("bounds.mu_star", 0.1), ("bounds.p", 2), ("bounds.gamma", 0.5),
+         ("bounds.pi_star", 0.5)],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, path, value):
         cfg = copy.deepcopy(ISING_CFG)
-        cfg["problem"]["spin"] = 1
-        path = write_cfg(tmp_path, cfg)
-        assert main(["run-smc", "--config", str(path)]) == 2
-        assert "problem.spin" in capsys.readouterr().err
+        block, key = path.split(".")
+        cfg.setdefault(block, {})[key] = value
+        assert main(["run-smc", "--config", str(write_cfg(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: unknown key\n"
 
     @pytest.mark.parametrize(
         "key,value",
@@ -336,6 +343,25 @@ class TestCommands:
         else:
             assert "runtime failure: non-finite" in proc.stderr
             assert len(proc.stderr.splitlines()) == 1  # no numpy warning first
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_run_smc_non_finite_proposal_exits_3(self, tmp_path, threads):
+        # a step of 1e300 overflows the Gaussian log q of every proposal;
+        # 2048 particles are two blocks, so two workers each meet it
+        cfg = {"problem": {"family": "gaussian_mixture", "dimension": 3},
+               "algorithm": {"method": "smc", "particles": 2048,
+                             "mutation_steps": 2, "seed": 42,
+                             "step_size": 1.0e300}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "modesmc", "run-smc", "--threads", threads,
+             "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("runtime failure: non-finite")
+        assert len(proc.stderr.splitlines()) == 1  # no numpy warning first
+        assert not (tmp_path / "o" / "summary.yaml").exists()
 
     @pytest.mark.parametrize("method", ["pt", "st"])
     def test_tempering_non_finite_density_exits_3(self, tmp_path, method):
@@ -531,6 +557,38 @@ class TestCommands:
         assert "n_particles" in text and "t_from_gap" in text
         table = yaml.safe_load((tmp_path / "b" / "bounds.yaml").read_text())
         assert table["warm_start_m"] == 7
+
+    @pytest.mark.parametrize(
+        "key,value", [("epsilon", 0.9), ("epsilon", 0), ("min_gap", 0), ("min_gap", 1.5)]
+    )
+    def test_out_of_range_bounds_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = {"problem": {"family": "four_state"}, "bounds": {key: value}}
+        path = write_cfg(tmp_path, cfg)
+        assert main(["bounds", "--config", str(path),
+                     "--out", str(tmp_path / "b")]) == 2
+        interval = {"epsilon": "(0, 1/2]", "min_gap": "(0, 1]"}[key]
+        assert capsys.readouterr().err == (
+            f"config error: bounds.{key}: must be in {interval}, got {value}\n"
+        )
+
+    def test_every_bounds_key_is_read(self, tmp_path):
+        # each key the bounds block accepts must change the table it writes
+        assert {p for p in _FIELDS if p.startswith("bounds.")} == {
+            "bounds.epsilon", "bounds.min_gap"
+        }
+
+        def table(problem, block):
+            path = write_cfg(tmp_path, {"problem": problem, "bounds": block})
+            assert main(["bounds", "--config", str(path),
+                         "--out", str(tmp_path / "b")]) == 0
+            return yaml.safe_load((tmp_path / "b" / "bounds.yaml").read_text())
+
+        four = {"family": "four_state"}
+        n_loose = table(four, {"epsilon": 0.25})["n_particles"]
+        assert table(four, {"epsilon": 0.1})["n_particles"] > n_loose
+        gauss = {"family": "gaussian_mixture", "dimension": 5}
+        assert "t_from_gap" not in table(gauss, {})
+        assert table(gauss, {"min_gap": 0.01})["t_from_gap"] > 0
 
 
 class TestSweep:

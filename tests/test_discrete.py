@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modesmc import DiscreteSpace, exact_annealed, ising_space, random_tempered_space
+from modesmc import DiscreteSpace, ising_space, random_tempered_space
 from modesmc import rng as rngmod
 from modesmc.discrete import enumerate_spins
 
@@ -13,18 +13,16 @@ class TestExactAnnealed:
         space = DiscreteSpace(
             log_masses=np.zeros((2, 4)), labels=np.array([0, 0, 1, 1])
         )
-        summary = exact_annealed(space, 0)
-        assert np.allclose(summary.cell_probs, [0.5, 0.5])
-        assert np.allclose(summary.conditionals[0], [0.5, 0.5])
-        assert np.isclose(summary.z, 4.0)
+        assert np.allclose(space.cell_probs(0), [0.5, 0.5])
+        assert np.allclose(space.conditional(0, 0), [0.5, 0.5])
+        assert np.isclose(np.exp(space.log_z(0)), 4.0)
 
     def test_reference_target_stage_by_hand(self, space):
         # pi = (0.4, 0.1, 0.2, 0.3) with cells {0,1} and {2,3}
-        summary = exact_annealed(space, 3)
-        assert np.allclose(summary.cell_probs, [0.5, 0.5])
-        assert np.allclose(summary.conditionals[0], [0.8, 0.2])
-        assert np.allclose(summary.conditionals[1], [0.4, 0.6])
-        assert np.isclose(summary.z, 1.0)
+        assert np.allclose(space.cell_probs(3), [0.5, 0.5])
+        assert np.allclose(space.conditional(3, 0), [0.8, 0.2])
+        assert np.allclose(space.conditional(3, 1), [0.4, 0.6])
+        assert np.isclose(np.exp(space.log_z(3)), 1.0)
 
     def test_flat_limit_gives_cardinality_fractions(self):
         base = np.log([0.4, 0.1, 0.2, 0.3])

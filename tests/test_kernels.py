@@ -7,7 +7,6 @@ from scipy import stats
 
 from modesmc import (
     DiscreteNeighborWalk,
-    IdentityKernel,
     RandomWalkMetropolis,
     RestrictedKernel,
     SingleSiteFlip,
@@ -125,9 +124,6 @@ class TestRestriction:
 
 
 class TestTransitionMatrices:
-    def test_identity_kernel(self):
-        assert np.array_equal(transition_matrix(IdentityKernel(), n_states=3), np.eye(3))
-
     def test_rows_sum_to_one(self, space):
         for v in (1, 3):
             P = transition_matrix(stage_kernel(space.to_family(), v))
@@ -232,13 +228,6 @@ class TestMixingTimeBound:
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
             mixing_time_bound(0.0, 0.1, 7)
-
-
-class TestIdentityKernelBehavior:
-    def test_identity_matrix_trivial(self):
-        k = IdentityKernel()
-        x = np.arange(5)
-        assert np.array_equal(k.step(x, _stream(10)), x)
 
 
 class TestStreamLayout:
