@@ -40,16 +40,12 @@ from .kernels import (
     transition_matrix,
 )
 from .engine import (
-    ParticleSystem,
     RunConfig,
     RunReport,
     StepDiagnostics,
     WeightCollapseError,
     cell_tracking_error,
     estimate,
-    initialize,
-    mutate,
-    resample,
     run,
 )
 from .bounds import (

@@ -40,7 +40,6 @@ from . import bounds as boundsmod
 from . import checks, rng as rngmod, tempering
 from .discrete import DiscreteSpace, reference_four_state
 from .engine import (
-    ENGINE_MODES,
     RunConfig,
     RunReport,
     WeightCollapseError,
@@ -100,9 +99,6 @@ _FIELDS = {
     "algorithm.sweeps": (int, lambda v: 0 <= v < 2**63, "must be in 0..2**63-1"),
     "algorithm.seed": (int, lambda v: 0 <= v < 2**64, "must be in 0..2**64-1"),
     "algorithm.step_size": (_NUMBER, lambda v: v > 0, "must be positive"),
-    "algorithm.engine": (
-        str, lambda v: v in ENGINE_MODES, "must be one of " + ", ".join(ENGINE_MODES)
-    ),
     "algorithm.restricted": (bool, None, None),
     "algorithm.pseudo_priors": (list, None, None),
     "algorithm.replicates": (int, lambda v: 1 <= v < 2**63, "must be in 1..2**63-1"),
@@ -270,11 +266,6 @@ def _write_summary(path: Path, summary: dict):
 def _one_smc_run(cfg, seed, threads):
     family, partition, truth = build_problem(cfg)
     algo = cfg.get("algorithm", {})
-    if algo.get("engine") == "counts" and family.kind != "index":
-        raise ConfigError(
-            "algorithm.engine",
-            f"the count engine needs an enumerated family, not {family.name!r}",
-        )
     config = RunConfig(
         family=family,
         partition=partition,
@@ -283,7 +274,6 @@ def _one_smc_run(cfg, seed, threads):
         seed=seed,
         step_size=algo.get("step_size"),
         workers=threads,
-        engine_mode=algo.get("engine", "auto"),
         restricted=algo.get("restricted", True),
     )
     report = run(config)
@@ -431,23 +421,27 @@ def bounds_from_config(cfg: dict, out_dir: Path | None = None) -> dict:
     epsilon = block.get("epsilon", 0.25)
     table = truth.cell_mass_table()
     exact = isinstance(truth, DiscreteSpace)  # enumerated: exact W, Z and gaps
-    if exact:
-        W, Z = truth.weight_bound(), truth.z_ratio_bound()
-        min_gap = checks.min_restricted_gap(truth)
-    else:
-        W, Z, min_gap = truth.w_value(), truth.z_value(), None
-    inputs = boundsmod.BoundInputs(
-        epsilon=epsilon,
-        n_stages=truth.n_stages,
-        p=table.shape[1],
-        W=W,
-        Z=Z,
-        mu_star=float(table.min()),
-        gamma=boundsmod.persistence(table),
-        pi_star=float(table[-1].min()),
-        min_gap=block.get("min_gap", min_gap),
-    )
-    out = boundsmod.bounds_table(inputs)
+    try:
+        if exact:
+            W, Z = truth.weight_bound(), truth.z_ratio_bound()
+            min_gap = checks.min_restricted_gap(truth)
+        else:
+            W, Z, min_gap = truth.w_value(), truth.z_value(), None
+        inputs = boundsmod.BoundInputs(
+            epsilon=epsilon,
+            n_stages=truth.n_stages,
+            p=table.shape[1],
+            W=W,
+            Z=Z,
+            mu_star=float(table.min()),
+            gamma=boundsmod.persistence(table),
+            pi_star=float(table[-1].min()),
+            min_gap=block.get("min_gap", min_gap),
+        )
+        out = boundsmod.bounds_table(inputs)
+    except OverflowError as exc:  # e.g. W = exp(alpha d / 2), or mu* near 0
+        msg = f"its bounds are past float range ({exc.args[-1]})"
+        raise ConfigError("problem", msg) from None
     if exact:
         out["overlap_exact"] = boundsmod.overlap_discrete(truth)
     elif family.name == "gaussian-mixture":

@@ -1,11 +1,11 @@
-"""The particle engine: initialize, resample, restricted mutation, estimators.
+"""The particle engine: one SMC run (``run``) and its estimators.
 
 One run executes
 
-    X_0 ~ mu_0 i.i.d.                       (initialize)
+    X_0 ~ mu_0 i.i.d.
     for v = 1..V:
-        multinomial resampling by w_v       (resample)
-        t restricted kernel steps at beta_v (mutate)
+        multinomial resampling by w_v       (_resample)
+        t restricted kernel steps at beta_v (the kernel's mutate)
 
 recording per-stage diagnostics: per-cell weight sums, resampling
 probabilities, occupancies, and the log normalizing-constant increment.
@@ -47,7 +47,7 @@ from scipy.special import logsumexp
 
 from . import rng as rngmod
 from .families import AnnealedFamily, Partition
-from .kernels import RestrictedKernel, stage_kernel
+from .kernels import stage_kernel
 
 COUNT_PATH_MAX_STATES = 2048
 ENGINE_MODES = ("auto", "particles", "counts")
@@ -94,19 +94,6 @@ class RunConfig:
         )
 
 
-@dataclass
-class ParticleSystem:
-    """N particle states with their cell labels at stage v."""
-
-    states: np.ndarray
-    cells: np.ndarray
-    v: int
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[0]
-
-
 @dataclass(frozen=True)
 class StepDiagnostics:
     stage: int
@@ -131,14 +118,6 @@ class RunReport:
     @property
     def log_z_by_stage(self) -> np.ndarray:
         return np.cumsum([d.log_z_increment for d in self.diagnostics])
-
-
-def initialize(config: RunConfig) -> ParticleSystem:
-    """Draw N i.i.d. initial-stage particles and label their cells."""
-    gen = rngmod.stream(config.seed, 0, rngmod.INIT)
-    states = config.family.sample_initial(config.n_particles, gen)
-    cells = config.partition.classify(states)
-    return ParticleSystem(states=states, cells=cells, v=0)
 
 
 def _histogram(labels, counts, size):
@@ -180,33 +159,6 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
         log_z_increment=float(log_total - np.log(n)),
     )
     return states, cells, counts, diag
-
-
-def resample(system: ParticleSystem, weights, rng, partition: Partition, stage=None):
-    """Multinomial resampling: N independent categorical draws by weight.
-
-    Returns the resampled system and the stage diagnostics. All-zero
-    weights abort with WeightCollapseError.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (system.n,):
-        raise ValueError("need one weight per particle")
-    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite and nonnegative")
-    stage = system.v + 1 if stage is None else stage
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)
-    states, cells, _, diag = _resample(
-        stage, system.n, logw, system.states, system.cells, None, rng,
-        partition.n_cells,
-    )
-    return ParticleSystem(states=states, cells=cells, v=system.v), diag
-
-
-def mutate(system: ParticleSystem, kernel: RestrictedKernel, t: int, rng, workers=1):
-    """Advance every particle t restricted steps; cells cannot change."""
-    states = kernel.mutate(system.states, system.cells, t, rng, workers=workers)
-    return ParticleSystem(states=states, cells=system.cells.copy(), v=system.v)
 
 
 def run(config: RunConfig) -> RunReport:

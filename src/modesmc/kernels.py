@@ -259,18 +259,12 @@ class DiscreteNeighborWalk(_Metropolis):
 
 @dataclass(frozen=True)
 class RestrictedKernel:
-    """A base kernel wrapped so moves leaving the current cell are refused."""
+    """The restricted kernel's description for ``transition_matrix``: moves
+    of ``base`` that leave the current cell of ``partition`` are refused.
+    To simulate it, pass ``cells`` and ``partition`` to ``base.mutate``."""
 
     base: object
     partition: Partition
-
-    def step(self, states, cells, rng):
-        return self.base.step(states, rng, cells=cells, partition=self.partition)
-
-    def mutate(self, states, cells, t, rng, workers=1):
-        return self.base.mutate(
-            states, t, rng, cells=cells, partition=self.partition, workers=workers
-        )
 
 
 def stage_kernel(family: AnnealedFamily, v: int, step_size: Optional[float] = None):

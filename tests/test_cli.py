@@ -140,12 +140,13 @@ class TestCommands:
         assert main(["run-smc", "--config", str(path)]) == 2
         assert "algorithm.particles" in capsys.readouterr().err
 
-    # bounds computes W, Z, mu*, p, gamma and pi* itself, so it takes none
+    # bounds computes W, Z, mu*, p, gamma and pi* itself, so it takes none;
+    # the engine picks the count path itself, so no key chooses it
     @pytest.mark.parametrize(
         "path,value",
         [("problem.spin", 1), ("bounds.w", 2.0), ("bounds.z", 2.0),
          ("bounds.mu_star", 0.1), ("bounds.p", 2), ("bounds.gamma", 0.5),
-         ("bounds.pi_star", 0.5)],
+         ("bounds.pi_star", 0.5), ("algorithm.engine", "auto")],
     )
     def test_unknown_key_exits_2(self, tmp_path, capsys, path, value):
         cfg = copy.deepcopy(ISING_CFG)
@@ -157,7 +158,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "key,value",
         [
-            ("engine", "counts"),  # ising is not an enumerated family
+            ("engine", "counts"),  # not a key
             ("engine", "warp"),
             ("particles", 0),
             ("mutation_steps", -1),
@@ -570,6 +571,33 @@ class TestCommands:
         assert capsys.readouterr().err == (
             f"config error: bounds.{key}: must be in {interval}, got {value}\n"
         )
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"family": "ising", "dimension": 5, "alpha": 2000.0},  # W = e^1000
+            {"family": "ising", "dimension": 5, "alpha": -2000.0},
+            # N's closed form squares past float range, or is infinite
+            {"family": "gaussian_mixture", "dimension": 5, "weight": 1.0e-300},
+            {"family": "gaussian_mixture", "dimension": 5, "weight": 5.0e-324},
+        ],
+        ids=["alpha+2000", "alpha-2000", "weight-1e-300", "weight-5e-324"],
+    )
+    def test_bounds_past_float_range_exits_2(self, tmp_path, problem):
+        proc = subprocess.run(
+            [sys.executable, "-m", "modesmc", "bounds",
+             "--config", str(write_cfg(tmp_path, {"problem": problem})),
+             "--out", str(tmp_path / "b")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(
+            "config error: problem: its bounds are past float range ("
+        )
+        assert not (tmp_path / "b" / "bounds.yaml").exists()
 
     def test_every_bounds_key_is_read(self, tmp_path):
         # each key the bounds block accepts must change the table it writes

@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import chisquare, kstest, norm
 
 from modesmc import (
-    RestrictedKernel,
     RunConfig,
     WeightCollapseError,
     cell_tracking_error,
@@ -13,17 +12,14 @@ from modesmc import (
     gaussian_mixture_target,
     index_family,
     index_partition,
-    initialize,
     ising_target,
-    mutate,
-    resample,
     run,
     stage_kernel,
     tv_distance,
 )
 from modesmc import analytic_catalog
 from modesmc import rng as rngmod
-from modesmc.engine import ParticleSystem
+from modesmc.engine import _resample
 
 
 def _cfg(space, **kw):
@@ -38,13 +34,20 @@ def _cfg(space, **kw):
     return RunConfig(**args)
 
 
+def _initial(cfg):
+    """The run's initial draw: N i.i.d. stage-0 states and their cells."""
+    gen = rngmod.stream(cfg.seed, 0, rngmod.INIT)
+    states = cfg.family.sample_initial(cfg.n_particles, gen)
+    return states, cfg.partition.classify(states)
+
+
 class TestInitialize:
     def test_uniform_spins_chi_square(self):
         fam, part = ising_target(3, 1.0)
         cfg = RunConfig(family=fam, partition=part, n_particles=100_000,
                         mutation_steps=0, seed=11)
-        system = initialize(cfg)
-        idx = ((system.states > 0) << np.arange(3)).sum(axis=1)
+        states, _ = _initial(cfg)
+        idx = ((states > 0) << np.arange(3)).sum(axis=1)
         counts = np.bincount(idx, minlength=8)
         assert chisquare(counts).pvalue > 0.01
         se = math.sqrt((1 / 8) * (7 / 8) / cfg.n_particles)
@@ -54,17 +57,17 @@ class TestInitialize:
         fam, part = gaussian_mixture_target(3)
         cfg = RunConfig(family=fam, partition=part, n_particles=5_000,
                         mutation_steps=0, seed=99)
-        a, b = initialize(cfg), initialize(cfg)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.cells, b.cells)
+        (a, a_cells), (b, b_cells) = _initial(cfg), _initial(cfg)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a_cells, b_cells)
 
     def test_gaussian_occupancy_matches_catalog(self):
         fam, part = gaussian_mixture_target(2)
         cat = analytic_catalog(fam)
         cfg = RunConfig(family=fam, partition=part, n_particles=100_000,
                         mutation_steps=0, seed=5)
-        system = initialize(cfg)
-        occ = np.bincount(system.cells, minlength=2) / cfg.n_particles
+        _, cells = _initial(cfg)
+        occ = np.bincount(cells, minlength=2) / cfg.n_particles
         expected = cat.cell_probability(0)
         se = math.sqrt(0.25 / cfg.n_particles)
         assert np.all(np.abs(occ - expected) <= 4 * se)
@@ -88,103 +91,142 @@ class TestInitialize:
 
         cfg = RunConfig(family=fam, partition=part, n_particles=100_000,
                         mutation_steps=0, seed=21)
-        system = initialize(cfg)
-        s = system.states.sum(axis=1) / math.sqrt(d)
+        states, _ = _initial(cfg)
+        s = states.sum(axis=1) / math.sqrt(d)
         assert kstest(s, cdf).pvalue > 0.01
 
 
+def _resample_weights(states, cells, w, gen, part):
+    """The engine's stage-1 resampling step on particle weights w (not log)."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.asarray(w, dtype=float))
+    return _resample(1, states.shape[0], logw, states, cells, None, gen, part.n_cells)
+
+
 class TestResample:
-    def _system(self, n):
+    def _population(self, n):
         states = np.arange(n)
         part = index_partition(np.zeros(n, dtype=int))
-        return ParticleSystem(states=states, cells=part.classify(states), v=0), part
+        return states, part.classify(states), part
 
     def test_equal_weights_multinomial_chi_square(self):
         n, reps = 1000, 1000
-        system, part = self._system(n)
+        states, cells, part = self._population(n)
         total = np.zeros(n)
         gen = rngmod.stream(3, 0, rngmod.REPLICATE)
         for _ in range(reps):
-            out, _ = resample(system, np.ones(n), gen, part)
-            total += np.bincount(out.states, minlength=n)
+            out, *_ = _resample_weights(states, cells, np.ones(n), gen, part)
+            total += np.bincount(out, minlength=n)
         assert chisquare(total).pvalue > 0.01
 
     def test_single_heavy_particle_takes_over(self):
-        system, part = self._system(5)
+        states, cells, part = self._population(5)
         w = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        out, diag = resample(system, w, rngmod.stream(4, 0, 5), part)
-        assert np.all(out.states == 2)
+        out, _, _, diag = _resample_weights(states, cells, w,
+                                            rngmod.stream(4, 0, 5), part)
+        assert np.all(out == 2)
         assert diag.occupancy_after[0] == 5
 
     def test_two_to_one_weight_frequency(self):
-        system, part = self._system(3)
+        states, cells, part = self._population(3)
         gen = rngmod.stream(5, 0, rngmod.REPLICATE)
         picks = 0
         reps = 4000
         for _ in range(reps):
-            out, _ = resample(system, np.array([2.0, 1.0, 1.0]), gen, part)
-            picks += (out.states == 0).sum()
+            out, *_ = _resample_weights(states, cells, np.array([2.0, 1.0, 1.0]),
+                                        gen, part)
+            picks += (out == 0).sum()
         freq = picks / (3 * reps)
         se = math.sqrt(0.25 / (3 * reps))
         assert abs(freq - 0.5) <= 4 * se
 
     def test_all_zero_weights_collapse(self):
-        system, part = self._system(4)
+        states, cells, part = self._population(4)
         with pytest.raises(WeightCollapseError) as err:
-            resample(system, np.zeros(4), rngmod.stream(6, 0, 5), part)
+            _resample_weights(states, cells, np.zeros(4), rngmod.stream(6, 0, 5), part)
         assert err.value.stage == 1
-
-    def test_negative_weights_rejected(self):
-        system, part = self._system(4)
-        with pytest.raises(ValueError):
-            resample(system, np.array([1.0, -1.0, 0.0, 0.0]),
-                     rngmod.stream(7, 0, 5), part)
 
     def test_diagnostics_fields(self, space):
         fam, part = space.to_family(), space.to_partition()
         states = np.array([0, 1, 2, 3] * 25)
-        system = ParticleSystem(states=states, cells=part.classify(states), v=0)
+        cells = part.classify(states)
         w = fam.log_weight(1, states)
-        out, diag = resample(system, np.exp(w), rngmod.stream(8, 0, 5), part)
+        _, _, _, diag = _resample_weights(states, cells, np.exp(w),
+                                          rngmod.stream(8, 0, 5), part)
         assert np.isclose(diag.resample_probs.sum(), 1.0, atol=1e-12)
         assert diag.occupancy_before.sum() == 100
         assert diag.occupancy_after.sum() == 100
         # w_hat agrees with the direct average of weights per cell
         for j in (0, 1):
-            mask = system.cells == j
+            mask = cells == j
             assert np.isclose(diag.cell_weight_sums[j],
                               np.exp(w[mask]).sum() / 100)
+
+
+class TestResampleCounts:
+    """The count branch: ``counts`` set, one log mass per state's count."""
+
+    def _draw(self, space, n, counts):
+        fam, part = space.to_family(), space.to_partition()
+        states = np.arange(space.n_states)
+        with np.errstate(divide="ignore"):
+            log_mass = fam.log_weight(2, states) + np.log(counts)
+        return _resample(2, n, log_mass, states, part.classify(states),
+                         np.asarray(counts), rngmod.stream(30, 2, rngmod.RESAMPLE),
+                         part.n_cells)
+
+    def test_counts_and_occupancies_sum_to_n(self, space):
+        n = 1_000
+        for counts in ([250, 250, 250, 250], [0, 1_000, 0, 0], [1, 0, 0, 999]):
+            states, _, new_counts, diag = self._draw(space, n, counts)
+            assert np.array_equal(states, np.arange(space.n_states))
+            assert new_counts.sum() == n
+            assert np.all(new_counts[np.asarray(counts) == 0] == 0)
+            assert diag.occupancy_before.sum() == n
+            assert diag.occupancy_after.sum() == n
+            assert np.array_equal(diag.occupancy_before,
+                                  np.bincount(space.labels, weights=counts,
+                                              minlength=2))
+
+    def test_all_minus_inf_collapses_with_stage(self, space):
+        part = space.to_partition()
+        states = np.arange(space.n_states)
+        with pytest.raises(WeightCollapseError) as err:
+            _resample(3, 100, np.full(space.n_states, -np.inf), states,
+                      part.classify(states), np.array([25, 25, 25, 25]),
+                      rngmod.stream(31, 3, rngmod.RESAMPLE), part.n_cells)
+        assert err.value.stage == 3
 
 
 class TestMutate:
     def test_zero_steps_is_identity(self, space):
         fam, part = space.to_family(), space.to_partition()
         states = np.array([0, 1, 2, 3])
-        system = ParticleSystem(states=states, cells=part.classify(states), v=1)
-        kernel = RestrictedKernel(stage_kernel(fam, 1), part)
-        out = mutate(system, kernel, 0, rngmod.stream(9, 0, 5))
-        assert np.array_equal(out.states, states)
+        kernel = stage_kernel(fam, 1)
+        out = kernel.mutate(states, 0, rngmod.stream(9, 0, 5),
+                            cells=part.classify(states), partition=part)
+        assert np.array_equal(out, states)
 
     def test_cells_invariant(self):
         fam, part = gaussian_mixture_target(3)
         cfg = RunConfig(family=fam, partition=part, n_particles=3_000,
                         mutation_steps=0, seed=31)
-        system = initialize(cfg)
-        kernel = RestrictedKernel(stage_kernel(fam, 1), part)
-        out = mutate(system, kernel, 15, rngmod.stream(10, 0, 5))
-        assert np.array_equal(part.classify(out.states), system.cells)
-        assert np.array_equal(out.cells, system.cells)
+        states, cells = _initial(cfg)
+        kernel = stage_kernel(fam, 1)
+        out = kernel.mutate(states, 15, rngmod.stream(10, 0, 5), cells=cells,
+                            partition=part)
+        assert np.array_equal(part.classify(out), cells)
 
     def test_within_cell_law_reaches_conditional(self, space):
         # point starts, 50 restricted steps, compare to exact conditionals
         fam, part = space.to_family(), space.to_partition()
         n = 100_000
         states = np.concatenate([np.zeros(n // 2), np.full(n // 2, 2)]).astype(int)
-        system = ParticleSystem(states=states, cells=part.classify(states), v=3)
-        kernel = RestrictedKernel(stage_kernel(fam, 3), part)
-        out = mutate(system, kernel, 50, rngmod.stream(11, 0, 5))
+        kernel = stage_kernel(fam, 3)
+        out = kernel.mutate(states, 50, rngmod.stream(11, 0, 5),
+                            cells=part.classify(states), partition=part)
         for j, members in ((0, [0, 1]), (1, [2, 3])):
-            got = np.bincount(out.states, minlength=4)[members]
+            got = np.bincount(out, minlength=4)[members]
             emp = got / got.sum()
             assert tv_distance(emp, space.conditional(3, j)) < 0.02
 
@@ -201,10 +243,10 @@ class TestMutate:
         x = fam.sample_stage(fam.n_stages, 1_500, gen)
         keep = x.sum(axis=1) > 0  # one cell only
         x = x[keep]
-        system = ParticleSystem(states=x, cells=part.classify(x), v=fam.n_stages)
-        kernel = RestrictedKernel(stage_kernel(fam, fam.n_stages), part)
-        out = mutate(system, kernel, 400, rngmod.stream(13, 0, 5))
-        s = out.states.sum(axis=1) / math.sqrt(d)
+        kernel = stage_kernel(fam, fam.n_stages)
+        out = kernel.mutate(x, 400, rngmod.stream(13, 0, 5),
+                            cells=part.classify(x), partition=part)
+        s = out.sum(axis=1) / math.sqrt(d)
         m, sd = math.sqrt(d), 1.0 / math.sqrt(beta)
         ref = truncnorm(a=-m / sd, b=np.inf, loc=m, scale=sd)
         # generous allowance: restricted-chain samples are autocorrelated

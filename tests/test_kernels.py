@@ -69,7 +69,7 @@ class TestRestriction:
         x = _stream(4).integers(0, 4, size=50_000)
         cells = part.classify(x)
         base_out = kernel.step(x, _stream(5))
-        restricted_out = RestrictedKernel(kernel, part).step(x, cells, _stream(5))
+        restricted_out = kernel.step(x, _stream(5), cells=cells, partition=part)
         stayed = part.classify(base_out) == cells
         assert np.array_equal(base_out[stayed], restricted_out[stayed])
         assert np.array_equal(restricted_out[~stayed], x[~stayed])
@@ -80,15 +80,16 @@ class TestRestriction:
 
         part = index_partition(np.array([0, 1]))
         x = np.array([0, 1, 0, 1])
-        out = RestrictedKernel(walk, part).mutate(x, part.classify(x), 25, _stream(6))
+        out = walk.mutate(x, 25, _stream(6), cells=part.classify(x), partition=part)
         assert np.array_equal(out, x)
 
     def test_cell_confinement_over_many_steps(self, space):
         fam, part = space.to_family(), space.to_partition()
-        kernel = RestrictedKernel(stage_kernel(fam, 1), part)
+        kernel = stage_kernel(fam, 1)
         x = _stream(7).integers(0, 4, size=100_000)
         cells = part.classify(x)
-        out = kernel.mutate(x, cells, 10, _stream(8))  # 10^6 restricted steps
+        # 10^6 restricted steps
+        out = kernel.mutate(x, 10, _stream(8), cells=cells, partition=part)
         assert np.array_equal(part.classify(out), cells)
 
     def test_restricted_matrix_is_refusal_formula(self, space):
@@ -264,11 +265,11 @@ class TestStreamLayout:
 class TestWorkerInvariance:
     def test_chunked_mutation_matches_serial(self, space):
         fam, part = space.to_family(), space.to_partition()
-        kernel = RestrictedKernel(stage_kernel(fam, 2), part)
+        kernel = stage_kernel(fam, 2)
         x = _stream(11).integers(0, 4, size=10_001)
         cells = part.classify(x)
-        a = kernel.mutate(x, cells, 7, _stream(12), workers=1)
-        b = kernel.mutate(x, cells, 7, _stream(12), workers=5)
+        a = kernel.mutate(x, 7, _stream(12), cells=cells, partition=part, workers=1)
+        b = kernel.mutate(x, 7, _stream(12), cells=cells, partition=part, workers=5)
         assert np.array_equal(a, b)
 
     def test_chunked_rwm_matches_serial(self):
