@@ -49,7 +49,6 @@ from .engine import (
     run,
 )
 from .bounds import (
-    BoundInputs,
     WARM_START_M,
     bounds_table,
     gap_based_t_bound,

@@ -1,9 +1,11 @@
 """Closed-form finite-sample bound calculators.
 
-Everything here is pure arithmetic on user-supplied or enumerated
-quantities: particle-count and mutation-step requirements, the relative
+Particle-count and mutation-step requirements, the relative
 resampling-error factor phi, and the persistence/overlap quantities that
-link the particle bounds to tempering spectral-gap bounds.
+link the particle bounds to tempering spectral-gap bounds. The
+calculators are pure arithmetic; bounds_table reads their inputs
+(n_stages, W, Z and the table of cell masses) from one exact reference,
+an enumerated DiscreteSpace or a family's closed-form catalog.
 
 Bounds that parameterize discrete resources are returned as floor(x) + 1,
 honoring the strict inequalities they come from. Logarithms are natural.
@@ -12,10 +14,11 @@ honoring the strict inequalities they come from. Logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .families import QUIET_LOG_Q, finite_log_q
 
 WARM_START_M = 7
 
@@ -82,7 +85,10 @@ def particle_bound(
         * math.log(64.0 * n_stages * p / mu_star)
     )
     second = p**2 * math.log(1024.0 * p**2)
-    return strict_ceiling(max(first, second) / epsilon**2)
+    if epsilon**2 == 0.0:  # a subnormal epsilon: N is past float range
+        raise OverflowError("epsilon**2 is 0")
+    # a Python float past float range is inf, which strict_ceiling rejects
+    return strict_ceiling(float(max(first, second)) / epsilon**2)
 
 
 def mutation_tv_target(mu_star: float, n_particles: int, n_stages: int) -> float:
@@ -159,7 +165,8 @@ def overlap_monte_carlo(family, partition, catalog, n_draws, rng):
 
     Needs exact per-stage samplers and catalog normalizing constants; the
     integrand is averaged under exact mu_v draws. Returns (delta, se) where
-    se is the standard error at the minimizing (stage, cell).
+    se is the standard error at the minimizing (stage, cell). Raises
+    InvalidStateError when log q is not finite on a draw.
     """
     if family.sample_stage is None:
         raise ValueError("family has no exact per-stage sampler")
@@ -167,11 +174,13 @@ def overlap_monte_carlo(family, partition, catalog, n_draws, rng):
     for v in range(family.n_stages):
         x = family.sample_stage(v, n_draws, rng)
         dbeta = family.betas[v + 1] - family.betas[v]
-        log_ratio = dbeta * family.log_q(x) + catalog.log_z(
+        with np.errstate(**QUIET_LOG_Q):  # a row sum past float range keeps its sign
+            lq = finite_log_q(family.log_q(x))
+            cells = partition.classify(x)
+        log_ratio = dbeta * lq + catalog.log_z(
             family.betas[v]
         ) - catalog.log_z(family.betas[v + 1])
         r = np.minimum(1.0, np.exp(log_ratio))
-        cells = partition.classify(x)
         mv = catalog.cell_probability(v)
         mw = catalog.cell_probability(v + 1)
         for j in range(partition.n_cells):
@@ -184,42 +193,27 @@ def overlap_monte_carlo(family, partition, catalog, n_draws, rng):
     return float(best), float(best_se)
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs to the bound calculators, typically enumerated or cataloged."""
-
-    epsilon: float
-    n_stages: int
-    p: int
-    W: float
-    Z: float
-    mu_star: float
-    gamma: Optional[float] = None
-    pi_star: Optional[float] = None
-    min_gap: Optional[float] = None
-
-
-def bounds_table(inputs: BoundInputs) -> dict:
-    """Everything the calculators can say for one set of inputs."""
-    lam = lambda_of(inputs.epsilon, inputs.n_stages)
-    n = particle_bound(
-        inputs.epsilon, inputs.n_stages, inputs.p, inputs.W, inputs.Z, inputs.mu_star
-    )
+def bounds_table(truth, epsilon: float, min_gap: Optional[float] = None) -> dict:
+    """Everything the calculators can say about one exact reference, as
+    Python numbers. truth (a DiscreteSpace or a family catalog) gives
+    n_stages, W = weight_bound(), Z = z_ratio_bound() and the (V+1, p)
+    cell_mass_table(), from which p, mu*, gamma and pi* follow."""
+    table = truth.cell_mass_table()
+    n_stages, W, Z = truth.n_stages, truth.weight_bound(), truth.z_ratio_bound()
+    mu_star, pi_star = float(table.min()), float(table[-1].min())
+    gamma = persistence(table)
+    lam = lambda_of(epsilon, n_stages)
+    n = particle_bound(epsilon, n_stages, table.shape[1], W, Z, mu_star)
     out = {
         "lambda": lam,
         "phi": phi(lam),
         "n_particles": n,
-        "mutation_tv_target": mutation_tv_target(inputs.mu_star, n, inputs.n_stages),
+        "mutation_tv_target": mutation_tv_target(mu_star, n, n_stages),
         "warm_start_m": WARM_START_M,
+        "gamma": gamma,
+        "pi_star": pi_star,
+        "overlap_floor": float(overlap_lower_bound(W * Z, gamma, pi_star)),
     }
-    if inputs.min_gap is not None and inputs.gamma is not None:
-        out["t_from_gap"] = gap_based_t_bound(
-            n, inputs.n_stages, inputs.gamma, inputs.pi_star, inputs.min_gap
-        )
-    if inputs.gamma is not None and inputs.pi_star is not None:
-        out["gamma"] = inputs.gamma
-        out["pi_star"] = inputs.pi_star
-        out["overlap_floor"] = overlap_lower_bound(
-            inputs.W * inputs.Z, inputs.gamma, inputs.pi_star
-        )
+    if min_gap is not None:
+        out["t_from_gap"] = gap_based_t_bound(n, n_stages, gamma, pi_star, min_gap)
     return out

@@ -452,9 +452,8 @@ def verify_suite(seed: int = VERIFY_SEED, quick: bool = False) -> list:
 
     # resampling probabilities track cell masses within the phi sandwich
     n_seeds = 30 if quick else 200
-    n_particles = 100_000 if quick else boundsmod.particle_bound(
-        0.5, space.n_stages, space.n_cells,
-        space.weight_bound(), space.z_ratio_bound(), space.mu_star(),
+    n_particles = (
+        100_000 if quick else boundsmod.bounds_table(space, 0.5)["n_particles"]
     )
     lam = boundsmod.lambda_of(0.5, space.n_stages)
     f = boundsmod.phi(lam)

@@ -415,30 +415,27 @@ def run_tempering_from_config(cfg: dict, out_dir: Path | None = None):
     return summary
 
 
+# bounds' Monte Carlo overlap draws 100_000 states of d floats at each of the
+# ~d ln d stages of a gaussian_mixture: 327 s and 525 MiB at d = 120 on a
+# loaded 2-core x86 VM, so GiBs and tens of hours at d = 2000
+MAX_OVERLAP_DIMENSION = 128
+
+
 def bounds_from_config(cfg: dict, out_dir: Path | None = None) -> dict:
     family, partition, truth = build_problem(cfg)
+    if family.name == "gaussian-mixture" and family.dimension > MAX_OVERLAP_DIMENSION:
+        raise ConfigError(
+            "problem.dimension",
+            f"must be at most {MAX_OVERLAP_DIMENSION} for bounds on gaussian_mixture,"
+            " whose Monte Carlo overlap draws 100000 states of d floats at each of"
+            f" its ~d ln d stages, got {family.dimension}",
+        )
     block = cfg.get("bounds", {})
     epsilon = block.get("epsilon", 0.25)
-    table = truth.cell_mass_table()
-    exact = isinstance(truth, DiscreteSpace)  # enumerated: exact W, Z and gaps
+    exact = isinstance(truth, DiscreteSpace)  # enumerated: exact gaps too
     try:
-        if exact:
-            W, Z = truth.weight_bound(), truth.z_ratio_bound()
-            min_gap = checks.min_restricted_gap(truth)
-        else:
-            W, Z, min_gap = truth.w_value(), truth.z_value(), None
-        inputs = boundsmod.BoundInputs(
-            epsilon=epsilon,
-            n_stages=truth.n_stages,
-            p=table.shape[1],
-            W=W,
-            Z=Z,
-            mu_star=float(table.min()),
-            gamma=boundsmod.persistence(table),
-            pi_star=float(table[-1].min()),
-            min_gap=block.get("min_gap", min_gap),
-        )
-        out = boundsmod.bounds_table(inputs)
+        min_gap = checks.min_restricted_gap(truth) if exact else None
+        out = boundsmod.bounds_table(truth, epsilon, block.get("min_gap", min_gap))
     except OverflowError as exc:  # e.g. W = exp(alpha d / 2), or mu* near 0
         msg = f"its bounds are past float range ({exc.args[-1]})"
         raise ConfigError("problem", msg) from None
@@ -446,28 +443,15 @@ def bounds_from_config(cfg: dict, out_dir: Path | None = None) -> dict:
         out["overlap_exact"] = boundsmod.overlap_discrete(truth)
     elif family.name == "gaussian-mixture":
         seed = cfg.get("algorithm", {}).get("seed", 0)
-        delta, se = boundsmod.overlap_monte_carlo(
-            family,
-            partition,
-            truth,
-            n_draws=100_000,
+        out["overlap_mc"], out["overlap_mc_se"] = boundsmod.overlap_monte_carlo(
+            family, partition, truth, n_draws=100_000,
             rng=rngmod.stream(seed, 0, rngmod.REPLICATE),
         )
-        out["overlap_mc"] = delta
-        out["overlap_mc_se"] = se
     out["epsilon"] = epsilon
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_summary(out_dir / "bounds.yaml", {k: _yamlable(v) for k, v in out.items()})
+        _write_summary(out_dir / "bounds.yaml", out)
     return out
-
-
-def _yamlable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
 
 
 # ---------------------------------------------------------------------------

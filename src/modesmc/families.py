@@ -379,7 +379,9 @@ def index_family(
 
 
 # ---------------------------------------------------------------------------
-# Closed-form catalogs for the two worked families.
+# Closed-form catalogs for the two worked families. Each answers n_stages,
+# cell_mass_table(), weight_bound() (W) and z_ratio_bound() (Z) as a
+# DiscreteSpace does: all that bounds.bounds_table reads.
 
 
 @dataclass(frozen=True)
@@ -403,9 +405,6 @@ class GaussianMixtureCatalog:
     def n_stages(self):
         return len(self.betas) - 1
 
-    def _phi_own_halfspace(self, beta: float) -> float:
-        return float(ndtr(self.nu * math.sqrt(self.d * beta) / self.sigma))
-
     def cell_probability(self, v: int) -> np.ndarray:
         beta = self.betas[v]
         a = self.w**beta
@@ -413,15 +412,15 @@ class GaussianMixtureCatalog:
         return np.array([a / (a + b), b / (a + b)])
 
     def log_z(self, beta: float) -> float:
-        """log integral of q**beta over R^d."""
+        """log integral of q**beta over R^d; OverflowError if not finite."""
         if beta <= 0:
             raise ValueError("beta must be positive")
         mix = math.log(self.w**beta + (1.0 - self.w) ** beta)
-        return (
-            mix
-            + math.log(self._phi_own_halfspace(beta))
-            + 0.5 * self.d * math.log(2.0 * math.pi * self.sigma**2 / beta)
-        )
+        own = float(log_ndtr(self.nu * math.sqrt(self.d * beta) / self.sigma))
+        out = mix + own + 0.5 * self.d * math.log(2.0 * math.pi * self.sigma**2 / beta)
+        if not math.isfinite(out):
+            raise OverflowError(f"log z at beta = {beta!r} is {out!r}")
+        return out
 
     def z_ratio(self, v: int) -> float:
         """z_{v-1} / z_v along the schedule."""
@@ -429,21 +428,15 @@ class GaussianMixtureCatalog:
             raise ValueError(f"stage v must be in 1..{self.n_stages}")
         return math.exp(self.log_z(self.betas[v - 1]) - self.log_z(self.betas[v]))
 
-    def z_ratio_bound(self, v: int) -> float:
-        """The coarse bound 2 (beta_v / beta_{v-1})^{d/2}."""
-        return 2.0 * (self.betas[v] / self.betas[v - 1]) ** (self.d / 2.0)
-
     def cell_mass_table(self) -> np.ndarray:
         return np.stack([self.cell_probability(v) for v in range(len(self.betas))])
 
-    def mu_star(self) -> float:
-        return float(self.cell_mass_table().min())
-
-    def w_value(self) -> float:
-        """Uniform bound on the stage weights (sup q <= max(w, 1-w) < 1)."""
+    def weight_bound(self) -> float:
+        """W: sup q <= max(w, 1-w) < 1 bounds every stage weight by 1."""
         return 1.0
 
-    def z_value(self) -> float:
+    def z_ratio_bound(self) -> float:
+        """Z: the largest z_{v-1}/z_v over stages."""
         return max(self.z_ratio(v) for v in range(1, self.n_stages + 1))
 
 
@@ -463,23 +456,14 @@ class IsingCatalog:
         # spin-flip symmetry with odd d: both sign cells carry mass 1/2
         return np.array([0.5, 0.5])
 
-    def z_ratio(self, v: int) -> float:
-        raise ValueError(
-            "no closed-form normalizing constants for the spin model; "
-            "enumerate a DiscreteSpace instead"
-        )
-
     def cell_mass_table(self) -> np.ndarray:
         return np.full((len(self.betas), 2), 0.5)
 
-    def mu_star(self) -> float:
-        return 0.5
-
-    def w_value(self) -> float:
+    def weight_bound(self) -> float:
         # only the product of the density-ratio bounds is known: exp(alpha/2)
         return math.exp(abs(self.alpha) / 2.0)
 
-    def z_value(self) -> float:
+    def z_ratio_bound(self) -> float:
         return 1.0
 
 

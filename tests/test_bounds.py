@@ -5,12 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from modesmc import (
-    BoundInputs,
     DiscreteSpace,
     analytic_catalog,
     bounds_table,
     gap_based_t_bound,
     gaussian_mixture_target,
+    ising_target,
     lambda_of,
     mutation_tv_target,
     overlap_discrete,
@@ -21,6 +21,7 @@ from modesmc import (
     phi,
     phi_power_ok,
     random_tempered_space,
+    reference_four_state,
 )
 from modesmc import rng as rngmod
 
@@ -102,6 +103,13 @@ class TestParticleBound:
     def test_zero_mu_star_rejected(self):
         with pytest.raises(ValueError):
             particle_bound(0.25, 1, 1, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-160])
+    def test_tiny_epsilon_past_float_range(self, epsilon):
+        # epsilon**2 is 0, or N overflows, also from a numpy W (an enumerated
+        # space's); either way an OverflowError, not a warning or a division
+        with pytest.raises(OverflowError):
+            particle_bound(epsilon, 4, 2, np.float64(1.0), 1.0, 0.5)
 
     def test_mutation_target(self):
         assert mutation_tv_target(0.5, 100, 10) == 0.5 / 16_000
@@ -232,15 +240,57 @@ class TestOverlap:
         assert overlap_discrete(space) >= floor
 
 
+def _truths():
+    """The three exact references the CLI's bounds read, at d = 5."""
+    gauss, _ = gaussian_mixture_target(5)
+    spin, _ = ising_target(5, 1.0)
+    return {
+        "four_state": reference_four_state(),
+        "gaussian_mixture": analytic_catalog(gauss),
+        "ising": analytic_catalog(spin),
+    }
+
+
 class TestBoundsTable:
     def test_table_is_complete(self):
-        inputs = BoundInputs(
-            epsilon=0.25, n_stages=3, p=2, W=0.8, Z=1.5, mu_star=0.4,
-            gamma=0.9, pi_star=0.5, min_gap=0.3,
+        for truth in _truths().values():
+            out = bounds_table(truth, 0.25, min_gap=0.3)
+            for key in ("lambda", "phi", "n_particles", "mutation_tv_target",
+                        "warm_start_m", "t_from_gap", "gamma", "pi_star",
+                        "overlap_floor"):
+                assert key in out
+            assert out["warm_start_m"] == 7
+            # plain Python numbers, which YAML writes as they are
+            assert all(type(v) in (int, float) for v in out.values())
+            assert "t_from_gap" not in bounds_table(truth, 0.25)
+
+    @pytest.mark.parametrize("name", ["four_state", "gaussian_mixture", "ising"])
+    def test_matches_calculators_by_hand(self, name):
+        truth = _truths()[name]
+        W, Z = truth.weight_bound(), truth.z_ratio_bound()
+        table = truth.cell_mass_table()
+        n_stages, p = table.shape[0] - 1, table.shape[1]
+        mu_star, pi_star = table.min(), table[-1].min()
+        gamma = persistence(table)
+        n = particle_bound(0.1, n_stages, p, W, Z, mu_star)
+        out = bounds_table(truth, 0.1, min_gap=0.05)
+        assert out["n_particles"] == n
+        assert out["t_from_gap"] == gap_based_t_bound(
+            n, n_stages, gamma, pi_star, 0.05
         )
-        out = bounds_table(inputs)
-        for key in ("lambda", "phi", "n_particles", "mutation_tv_target",
-                    "warm_start_m", "t_from_gap", "overlap_floor"):
-            assert key in out
-        assert out["warm_start_m"] == 7
-        assert out["n_particles"] == particle_bound(0.25, 3, 2, 0.8, 1.5, 0.4)
+        assert out["gamma"] == gamma and out["pi_star"] == pi_star
+        assert out["overlap_floor"] == overlap_lower_bound(W * Z, gamma, pi_star)
+        assert out["mutation_tv_target"] == mutation_tv_target(mu_star, n, n_stages)
+
+    def test_symmetric_catalogs_by_hand(self):
+        # both catalogs hold mass 1/2 in each cell: mu* = pi* = 1/2, gamma = 1
+        truths = _truths()
+        spin = bounds_table(truths["ising"], 0.1)
+        assert spin["n_particles"] == particle_bound(0.1, 5, 2, math.exp(0.5), 1.0, 0.5)
+        gauss = truths["gaussian_mixture"]
+        assert gauss.weight_bound() == 1.0
+        out = bounds_table(gauss, 0.25)
+        assert (out["gamma"], out["pi_star"]) == (1.0, 0.5)
+        assert out["n_particles"] == particle_bound(
+            0.25, gauss.n_stages, 2, 1.0, gauss.z_ratio_bound(), 0.5
+        )

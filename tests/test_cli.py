@@ -1,7 +1,12 @@
+import contextlib
 import copy
+import io
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from modesmc import WeightCollapseError
 from modesmc.cli import (
     _FIELDS,
+    MAX_OVERLAP_DIMENSION,
     ConfigError,
     build_problem,
     config_hash,
@@ -33,7 +39,8 @@ ISING_CFG = {
 }
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -130,6 +137,66 @@ def test_parse_config_returns_mapping_or_config_error(text):
     except ConfigError:
         return
     assert isinstance(cfg, dict)
+
+
+# any float, with the ranges where the bounds' closed forms break down drawn
+# as well: subnormals, +-1e308, and centers 40 to 1e3 sds off their half-space
+_ANY_FLOAT = (
+    st.floats()
+    | st.sampled_from([5e-324, -5e-324, 1e308, -1e308])
+    | st.floats(40.0, 1e3)
+    | st.floats(-1e3, -40.0)
+)
+
+
+@st.composite
+def _bounds_configs(draw):
+    family = draw(st.sampled_from(["four_state", "ising", "gaussian_mixture"]))
+    problem = {"family": family}
+    if family == "ising":
+        problem["dimension"] = draw(st.sampled_from([1, 3, 5]))
+        problem["alpha"] = draw(_ANY_FLOAT)
+    elif family == "gaussian_mixture":
+        problem["dimension"] = draw(st.sampled_from([2, 3]))
+        problem["weight"] = draw(_ANY_FLOAT | st.floats(0.0, 1.0))
+        problem["sigma"] = draw(_ANY_FLOAT | st.floats(1e-3, 1e3))
+        problem["center_scale"] = draw(_ANY_FLOAT)
+    block = {}
+    if draw(st.booleans()):
+        block["epsilon"] = draw(_ANY_FLOAT | st.floats(0.0, 0.5))
+    if draw(st.booleans()):
+        block["min_gap"] = draw(_ANY_FLOAT | st.floats(0.0, 1.0))
+    return {"problem": problem, "bounds": block}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_bounds_configs())
+def test_bounds_writes_finite_table_or_one_error_line(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["bounds", "--config", str(path), "--out", f"{tmp}/b"])
+        if code == 0:
+            table = yaml.safe_load((Path(tmp) / "b" / "bounds.yaml").read_text())
+            assert all(math.isfinite(v) for v in table.values()), table
+        else:
+            assert code in (2, 3)
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+def test_readme_library_example_runs():
+    # the README's one python block runs as written against this source tree
+    (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                            flags=re.S)
+    proc = subprocess.run(
+        [sys.executable, "-c", example], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the particle bound at d = 5, epsilon = 1/4
+    assert proc.stdout.splitlines()[-1] == "412382272"
 
 
 class TestCommands:
@@ -580,8 +647,12 @@ class TestCommands:
             # N's closed form squares past float range, or is infinite
             {"family": "gaussian_mixture", "dimension": 5, "weight": 1.0e-300},
             {"family": "gaussian_mixture", "dimension": 5, "weight": 5.0e-324},
+            # Z = z_{v-1}/z_v past float range, or log z itself infinite
+            {"family": "gaussian_mixture", "dimension": 3, "center_scale": -50.0},
+            {"family": "gaussian_mixture", "dimension": 3, "center_scale": -1.0e257},
         ],
-        ids=["alpha+2000", "alpha-2000", "weight-1e-300", "weight-5e-324"],
+        ids=["alpha+2000", "alpha-2000", "weight-1e-300", "weight-5e-324",
+             "center-50", "center-1e257"],
     )
     def test_bounds_past_float_range_exits_2(self, tmp_path, problem):
         proc = subprocess.run(
@@ -597,6 +668,46 @@ class TestCommands:
         assert proc.stderr.startswith(
             "config error: problem: its bounds are past float range ("
         )
+        assert not (tmp_path / "b" / "bounds.yaml").exists()
+
+    def test_bounds_far_from_own_half_space(self, tmp_path):
+        # each component's own half-space mass Phi(-30 sqrt(3 beta)) underflows
+        problem = {"family": "gaussian_mixture", "dimension": 3, "center_scale": -30.0}
+        path = write_cfg(tmp_path, {"problem": problem})
+        assert main(["bounds", "--config", str(path),
+                     "--out", str(tmp_path / "b")]) == 0
+        table = yaml.safe_load((tmp_path / "b" / "bounds.yaml").read_text())
+        assert all(math.isfinite(v) for v in table.values())
+        assert 0.0 < table["overlap_floor"] < table["overlap_mc"] <= 1.0
+
+    def test_bounds_overlap_log_q_not_finite_exits_3(self, tmp_path):
+        # finite closed forms, but the overlap's draws square past float range
+        problem = {"family": "gaussian_mixture", "dimension": 3,
+                   "center_scale": 1.7577070741974516e181}
+        proc = subprocess.run(
+            [sys.executable, "-m", "modesmc", "bounds",
+             "--config", str(write_cfg(tmp_path, {"problem": problem})),
+             "--out", str(tmp_path / "b")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "runtime failure: non-finite base log density in batch\n"
+        )
+        assert not (tmp_path / "b" / "bounds.yaml").exists()
+
+    def test_bounds_gaussian_dimension_ceiling_exits_2(self, tmp_path, capsys):
+        d = MAX_OVERLAP_DIMENSION + 1
+        problem = {"family": "gaussian_mixture", "dimension": d}
+        path = write_cfg(tmp_path, {"problem": problem})
+        assert main(["bounds", "--config", str(path),
+                     "--out", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: problem.dimension: must be at most {d - 1} for bounds"
+        )
+        assert err.endswith(f", got {d}\n") and len(err.splitlines()) == 1
         assert not (tmp_path / "b" / "bounds.yaml").exists()
 
     def test_every_bounds_key_is_read(self, tmp_path):

@@ -188,7 +188,8 @@ class TestAnalyticCatalog:
         cat = analytic_catalog(fam)
         for v in range(fam.n_stages + 1):
             assert np.array_equal(cat.cell_probability(v), [0.5, 0.5])
-        assert cat.mu_star() == 0.5
+        table = cat.cell_mass_table()
+        assert np.array_equal(table, np.full((fam.n_stages + 1, 2), 0.5))
 
     def test_gaussian_symmetric_exact_half(self):
         fam, _ = gaussian_mixture_target(6, w=0.5)
@@ -201,7 +202,7 @@ class TestAnalyticCatalog:
         for d in (2, 5, 12):
             fam, _ = gaussian_mixture_target(d)
             cat = analytic_catalog(fam)
-            assert cat.mu_star() >= 0.25
+            assert cat.cell_mass_table().min() >= 0.25
 
     def test_unsupported_family_rejected(self):
         fam = index_family(np.zeros(3), betas=(0.5, 1.0))
@@ -216,8 +217,11 @@ class TestAnalyticCatalog:
     def test_z_ratio_within_coarse_bound(self):
         fam, _ = gaussian_mixture_target(2)
         cat = analytic_catalog(fam)
-        for v in range(1, fam.n_stages + 1):
-            assert cat.z_ratio(v) <= cat.z_ratio_bound(v)
+        ratios = [cat.z_ratio(v) for v in range(1, fam.n_stages + 1)]
+        for v, ratio in enumerate(ratios, start=1):
+            # the coarse bound 2 (beta_v / beta_{v-1})^{d/2}, at d = 2
+            assert ratio <= 2.0 * (fam.betas[v] / fam.betas[v - 1])
+        assert cat.z_ratio_bound() == max(ratios)
 
     def test_z_ratio_d1_against_quadrature(self):
         # independent oracle: numerical integration of q**beta on the line
@@ -236,10 +240,35 @@ class TestAnalyticCatalog:
 
         assert np.isclose(cat.z_ratio(1), z(0.5) / z(1.0), rtol=1e-10)
 
-    def test_ising_z_ratio_not_available(self):
-        fam, _ = ising_target(5, 1.0)
-        with pytest.raises(ValueError):
-            analytic_catalog(fam).z_ratio(1)
+    def test_ising_weight_and_z_bounds(self):
+        # W = exp(|alpha|/2) carries the whole density-ratio bound, so Z = 1
+        for alpha in (3.0, -3.0):
+            fam, _ = ising_target(5, alpha)
+            cat = analytic_catalog(fam)
+            assert cat.weight_bound() == math.exp(1.5)
+            assert cat.z_ratio_bound() == 1.0
+            assert cat.n_stages == fam.n_stages == 5
+
+    def test_log_z_far_from_own_halfspace(self):
+        # nu = -30 at d = 3 leaves each component ~52 sds outside its own
+        # half-space, where Phi underflows; oracle: the Mills-ratio series
+        # log Phi(x) = -x^2/2 - log(-x) - log(2 pi)/2 + log(1 - 1/x^2 + 3/x^4 - ...)
+        fam, _ = gaussian_mixture_target(3, nu=-30.0)
+        cat = analytic_catalog(fam)
+        for beta in fam.betas:
+            x = -30.0 * math.sqrt(3 * beta)
+            log_phi = (
+                -x * x / 2 - math.log(-x) - 0.5 * math.log(2 * math.pi)
+                + math.log(1 - 1 / x**2 + 3 / x**4 - 15 / x**6 + 105 / x**8)
+            )
+            mix = math.log(2 * 0.5**beta)  # w**beta + (1-w)**beta at w = 1/2
+            expected = mix + log_phi + 1.5 * math.log(2 * math.pi / beta)
+            assert math.isclose(cat.log_z(beta), expected, rel_tol=1e-12)
+
+    def test_log_z_past_float_range_is_overflow(self):
+        fam, _ = gaussian_mixture_target(3, nu=-1.0e257)
+        with pytest.raises(OverflowError):
+            analytic_catalog(fam).log_z(1.0)
 
 
 class TestExactStageSampling:
