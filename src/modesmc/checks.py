@@ -50,14 +50,13 @@ class CoupledPair:
 
     primary: np.ndarray
     shadow: np.ndarray
-    cell: int
 
     @property
     def equal(self) -> np.ndarray:
         return self.primary == self.shadow
 
 
-def coupling_map(f, g, rng, size: int = 1, cell: int = 0) -> CoupledPair:
+def coupling_map(f, g, rng, size: int = 1) -> CoupledPair:
     """Couple two distributions on one cell by splitting off their overlap.
 
     With probability a = sum(min(f, g)) both coordinates take one draw from
@@ -88,7 +87,7 @@ def coupling_map(f, g, rng, size: int = 1, cell: int = 0) -> CoupledPair:
         gres = g - h
         x[~both] = _categorical(rng, fres / fres.sum(), n_rest)
         xbar[~both] = _categorical(rng, gres / gres.sum(), n_rest)
-    return CoupledPair(primary=x, shadow=xbar, cell=cell)
+    return CoupledPair(primary=x, shadow=xbar)
 
 
 def _categorical(rng, probs, size):
@@ -101,9 +100,11 @@ def _categorical(rng, probs, size):
 # Warm-start mixing times, computed exactly on enumerated cells.
 
 MAX_VERTEX_STATES = 20
+MAX_VERTICES = 500_000
+MAX_MIXING_STEPS = 100_000
 
 
-def warm_start_vertices(mu, M: float, max_vertices: int = 500_000) -> np.ndarray:
+def warm_start_vertices(mu, M: float) -> np.ndarray:
     """All extreme points of {eta : 0 <= eta <= M mu, sum eta = 1}.
 
     Each vertex saturates eta = M mu on a subset and parks the remaining
@@ -121,7 +122,7 @@ def warm_start_vertices(mu, M: float, max_vertices: int = 500_000) -> np.ndarray
     subset = np.zeros(m, dtype=bool)
 
     def rec(i, mass):
-        if len(verts) > max_vertices:
+        if len(verts) > MAX_VERTICES:
             raise ValueError("vertex enumeration exceeded the cap")
         if i == m:
             residual = 1.0 - M * mass
@@ -147,20 +148,21 @@ def warm_start_vertices(mu, M: float, max_vertices: int = 500_000) -> np.ndarray
     return np.unique(np.round(np.stack(verts), 15), axis=0)
 
 
-def warm_mixing_time(
-    P_cell: np.ndarray, mu_cell: np.ndarray, M: float, epsilon: float, t_max=100_000
-) -> int:
+def warm_mixing_time(P_cell: np.ndarray, mu_cell: np.ndarray, M: float,
+                     epsilon: float) -> int:
     """Smallest t with sup over M-warm starts of TV(eta P^t, mu) <= eps."""
     P_cell = np.asarray(P_cell, dtype=float)
     mu_cell = np.asarray(mu_cell, dtype=float)
     verts = warm_start_vertices(mu_cell, M)
     dist = verts.copy()
-    for t in range(t_max + 1):
+    for t in range(MAX_MIXING_STEPS + 1):
         worst = 0.5 * np.abs(dist - mu_cell).sum(axis=1).max()
         if worst <= epsilon:
             return t
         dist = dist @ P_cell
-    raise RuntimeError(f"no mixing within {t_max} steps (worst TV {worst:.3g})")
+    raise RuntimeError(
+        f"no mixing within {MAX_MIXING_STEPS} steps (worst TV {worst:.3g})"
+    )
 
 
 def restricted_cell_blocks(space: DiscreteSpace, v: int) -> list:
@@ -226,14 +228,10 @@ class WarmnessStageReport:
 
 
 def local_warmness_report(
-    space: DiscreteSpace,
-    n_particles: int,
-    t: int,
-    n_runs: int,
-    seed: int,
-    warm_limit: float = 7.0,
+    space: DiscreteSpace, n_particles: int, t: int, n_runs: int, seed: int
 ) -> list:
-    """Estimate sup_x resampled-conditional/exact-conditional per stage.
+    """Estimate sup_x resampled-conditional/exact-conditional per stage;
+    a stage is ok when it stays below the warm-start constant M.
 
     Runs an ensemble of independent seeded runs, pools the post-resampling
     (pre-mutation) per-state frequencies, and compares every within-cell
@@ -273,7 +271,7 @@ def local_warmness_report(
                 max_ratio=max_ratio,
                 se_at_max=se_at_max,
                 extinction_rate=float(extinct),
-                ok=bool(max_ratio < warm_limit),
+                ok=bool(max_ratio < boundsmod.WARM_START_M),
             )
         )
     return rows
@@ -290,20 +288,17 @@ class IdentityStratumReport:
     ok: Optional[bool]  # None when the stratum was skipped as too thin
 
 
+N_STRATA, MIN_STRATUM = 4, 30
+
+
 def conditional_weight_identity(
-    space: DiscreteSpace,
-    v: int,
-    n_particles: int,
-    t: int,
-    n_runs: int,
-    seed: int,
-    n_strata: int = 4,
-    min_stratum: int = 30,
+    space: DiscreteSpace, v: int, n_particles: int, t: int, n_runs: int, seed: int
 ) -> list:
     """Check E[w_hat_{v+1}^j | history] = (z_{v+1}/z_v)(mu ratio) p_hat_v^j.
 
-    Replicates are stratified by the observed resampling probability (a
-    history-measurable statistic); within each stratum the mean residual
+    Replicates are split into N_STRATA strata by the observed resampling
+    probability (a history-measurable statistic), and strata of fewer than
+    MIN_STRATUM replicates are skipped; within each stratum the mean residual
     between the observed next-stage weight sum and the enumerated
     right-hand side must vanish within 3 standard errors. Requires t large
     enough that the mutated within-cell law is near its conditional.
@@ -322,13 +317,13 @@ def conditional_weight_identity(
     for j in range(space.n_cells):
         predicted = z_ratio * mass_ratio[j] * p_hat[:, j]
         residual = w_next[:, j] - predicted
-        edges = np.quantile(p_hat[:, j], np.linspace(0, 1, n_strata + 1))
+        edges = np.quantile(p_hat[:, j], np.linspace(0, 1, N_STRATA + 1))
         strata = np.clip(np.searchsorted(edges, p_hat[:, j], side="right") - 1, 0,
-                         n_strata - 1)
-        for s in range(n_strata):
+                         N_STRATA - 1)
+        for s in range(N_STRATA):
             mask = strata == s
             n = int(mask.sum())
-            if n < min_stratum:
+            if n < MIN_STRATUM:
                 rows.append(
                     IdentityStratumReport(j, s, n, np.nan, np.nan, np.nan, None)
                 )
@@ -425,8 +420,8 @@ def verify_suite(seed: int = VERIFY_SEED, quick: bool = False) -> list:
     for v in range(1, space.n_stages + 1):
         for j, (sub, cond) in enumerate(restricted_cell_blocks(space, v)):
             gap = spectral_gap(sub, stationary=cond)
-            tau = warm_mixing_time(sub, cond, 7, 0.01)
-            bound = mixing_time_bound(gap, 0.01, 7)
+            tau = warm_mixing_time(sub, cond, boundsmod.WARM_START_M, 0.01)
+            bound = mixing_time_bound(gap, 0.01, boundsmod.WARM_START_M)
             ok &= tau <= bound
             detail.append(f"v{v}j{j}:{tau}<={bound}")
     record("warm-mixing-vs-gap-bound", ok, " ".join(detail))
@@ -475,7 +470,7 @@ def verify_suite(seed: int = VERIFY_SEED, quick: bool = False) -> list:
 
     # local warmness of the resampled marginals
     taus = [
-        max(warm_mixing_times(space, v, 7, 1e-3))
+        max(warm_mixing_times(space, v, boundsmod.WARM_START_M, 1e-3))
         for v in range(1, space.n_stages + 1)
     ]
     warm = local_warmness_report(

@@ -15,10 +15,11 @@ One YAML config file drives every subcommand:
       directory: out
 
 Unknown keys anywhere are rejected (exit 2, message names the offending
-path). Runs write a per-stage diagnostics CSV with a fixed column order
-plus a YAML summary carrying provenance (config hash, seed, version);
-identical effective configs produce byte-identical diagnostics files
-regardless of --threads.
+path). Command run-<method> runs only a config whose algorithm.method is
+that method. Runs write a per-stage diagnostics CSV with a fixed column
+order plus a YAML summary carrying provenance (config hash, seed,
+version); identical effective configs produce byte-identical diagnostics
+files regardless of --threads.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class ConfigError(ValueError):
 
 
 _NUMBER = (int, float)
+METHODS = ("smc", "pt", "st")  # algorithm.method; command run-<method> runs it
 
 # dotted path -> (type, test, requirement); the test covers what the type
 # alone does not. Sizes stop below 2**63, the most numpy can index. The
@@ -91,7 +93,7 @@ _FIELDS = {
         "must be positive with 1/(2 sigma**2) finite and nonzero",
     ),
     "problem.center_scale": (_NUMBER, None, None),
-    "algorithm.method": (str, None, None),
+    "algorithm.method": (str, lambda v: v in METHODS, "must be smc, pt or st"),
     "algorithm.particles": (int, lambda v: 1 <= v < 2**63, "must be in 1..2**63-1"),
     "algorithm.mutation_steps": (
         int, lambda v: 0 <= v < 2**63, "must be in 0..2**63-1"
@@ -209,11 +211,12 @@ def build_problem(cfg: dict):
             raise ConfigError(
                 "problem.dimension", f"must be at least 2 for gaussian_mixture, got {d}"
             )
+        nu = prob.get("center_scale", 1.0)
+        if not math.isfinite(nu * math.sqrt(d)):  # the centres' distance from 0
+            msg = f"times sqrt(dimension) must be finite, got {_shown(nu)}"
+            raise ConfigError("problem.center_scale", msg)
         family, partition = gaussian_mixture_target(
-            d,
-            w=prob.get("weight", 0.5),
-            sigma=prob.get("sigma", 1.0),
-            nu=prob.get("center_scale", 1.0),
+            d, w=prob.get("weight", 0.5), sigma=prob.get("sigma", 1.0), nu=nu
         )
         return family, partition, analytic_catalog(family)
     if name == "four_state":
@@ -331,8 +334,11 @@ def run_smc_from_config(cfg: dict, threads: int = 1, out_dir: Path | None = None
         summary.update(summaries[0])
     else:
         log_zs = [e["log_z"] for e in summaries]
-        summary["log_z_mean"] = float(np.mean(log_zs))
-        summary["log_z_sd"] = float(np.std(log_zs, ddof=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, sd = float(np.mean(log_zs)), float(np.std(log_zs, ddof=1))
+        if not (math.isfinite(mean) and math.isfinite(sd)):  # log z near 1e308
+            raise InvalidStateError("replicates' log z mean or SD past float range")
+        summary["log_z_mean"], summary["log_z_sd"] = mean, sd
         summary["runs"] = summaries
     if out_dir is not None:
         _write_summary(out_dir / "summary.yaml", summary)
@@ -368,6 +374,7 @@ def _st_pseudo_priors(cfg, family, partition):
 
 
 def run_tempering_from_config(cfg: dict, out_dir: Path | None = None):
+    """Run replica exchange (method pt) or simulated tempering (st)."""
     family, partition, _ = build_problem(cfg)
     method = _require(cfg, "algorithm", "method")
     algo = cfg.get("algorithm", {})
@@ -376,13 +383,7 @@ def run_tempering_from_config(cfg: dict, out_dir: Path | None = None):
     cfg_hash = config_hash(cfg)
     summary = _summary_common(cfg_hash, seed)
     if method == "pt":
-        result = tempering.pt_run(
-            family,
-            sweeps,
-            seed,
-            step_size=algo.get("step_size"),
-            record_target_trace=True,
-        )
+        result = tempering.pt_run(family, sweeps, seed, step_size=algo.get("step_size"))
         crossing = tempering.mode_crossing_report(result.target_trace, partition)
         summary.update(
             {
@@ -393,7 +394,7 @@ def run_tempering_from_config(cfg: dict, out_dir: Path | None = None):
                 "occupancy": [float(x) for x in crossing.occupancy],
             }
         )
-    elif method == "st":
+    else:
         log_pseudo = _st_pseudo_priors(cfg, family, partition)
         result = tempering.st_run(
             family, sweeps, seed, log_pseudo, step_size=algo.get("step_size")
@@ -407,12 +408,17 @@ def run_tempering_from_config(cfg: dict, out_dir: Path | None = None):
                 "pseudo_priors_log": [float(x) for x in log_pseudo],
             }
         )
-    else:
-        raise ConfigError("algorithm.method", f"not a tempering method: {method}")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_summary(out_dir / "summary.yaml", summary)
     return summary
+
+
+def _run_method(cfg: dict, threads: int, out_dir: Path) -> dict:
+    """Run the config's algorithm.method and return its summary."""
+    if _require(cfg, "algorithm", "method") == "smc":
+        return run_smc_from_config(cfg, threads=threads, out_dir=out_dir)[1]
+    return run_tempering_from_config(cfg, out_dir=out_dir)
 
 
 # bounds' Monte Carlo overlap draws 100_000 states of d floats at each of the
@@ -485,12 +491,7 @@ def sweep_from_config(cfg: dict, threads: int = 1, out_dir: Path = Path("out")):
         row.update({p: v for p, v in zip(paths, combo)})
         try:
             validate_config(point_cfg)
-            method = _require(point_cfg, "algorithm", "method")
-            pdir = out_dir / f"point_{k:03d}"
-            if method == "smc":
-                _, summary = run_smc_from_config(point_cfg, threads=1, out_dir=pdir)
-            else:
-                summary = run_tempering_from_config(point_cfg, out_dir=pdir)
+            summary = _run_method(point_cfg, 1, out_dir / f"point_{k:03d}")
             row["status"] = "ok"
             for key in ("log_z", "max_tracking_error", "crossings_per_sweep"):
                 if key in summary:
@@ -580,16 +581,11 @@ def main(argv=None) -> int:
 
         cfg = _load(args)
         out = _out_dir(args, cfg)
-        if args.command == "run-smc":
-            _, summary = run_smc_from_config(cfg, threads=args.threads, out_dir=out)
-            print(yaml.safe_dump(summary, sort_keys=True))
-        elif args.command in ("run-pt", "run-st"):
-            want = "pt" if args.command == "run-pt" else "st"
-            method = _require(cfg, "algorithm", "method")
+        if args.command.startswith("run-"):
+            want, method = args.command[4:], _require(cfg, "algorithm", "method")
             if method != want:
                 raise ConfigError("algorithm.method", f"expected {want}, got {method}")
-            summary = run_tempering_from_config(cfg, out_dir=out)
-            print(yaml.safe_dump(summary, sort_keys=True))
+            print(yaml.safe_dump(_run_method(cfg, args.threads, out), sort_keys=True))
         elif args.command == "bounds":
             table = bounds_from_config(cfg, out_dir=out)
             for key in sorted(table):

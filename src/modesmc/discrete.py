@@ -112,10 +112,10 @@ class DiscreteSpace:
     def pi_star(self) -> float:
         return float(self.cell_probs(self.n_stages).min())
 
-    def to_family(self, name: str = "enumerated") -> AnnealedFamily:
+    def to_family(self) -> AnnealedFamily:
         if self.betas is None or self.base_log_mass is None:
             raise ValueError("only tempered spaces convert to annealed families")
-        return index_family(self.base_log_mass, self.betas, name=name)
+        return index_family(self.base_log_mass, self.betas)
 
     def to_partition(self) -> Partition:
         return index_partition(self.labels)
@@ -135,17 +135,13 @@ def reference_four_state() -> DiscreteSpace:
     )
 
 
-def random_tempered_space(
-    rng: np.random.Generator,
-    n_states_range=(4, 12),
-    n_stages_range=(2, 5),
-    log_mass_scale_range=(0.5, 2.0),
-) -> DiscreteSpace:
-    """A random two-cell tempered space for randomized property checks."""
-    n = int(rng.integers(n_states_range[0], n_states_range[1] + 1))
-    scale = rng.uniform(*log_mass_scale_range)
+def random_tempered_space(rng: np.random.Generator) -> DiscreteSpace:
+    """A random two-cell tempered space for randomized property checks:
+    4 to 12 states, 2 to 5 stages, base log masses of scale 0.5 to 2."""
+    n = int(rng.integers(4, 13))
+    scale = rng.uniform(0.5, 2.0)
     base = rng.normal(0.0, scale, size=n)
-    n_stages = int(rng.integers(n_stages_range[0], n_stages_range[1] + 1))
+    n_stages = int(rng.integers(2, 6))
     b0 = rng.uniform(0.05, 0.5)
     gaps = rng.uniform(0.1, 1.0, size=n_stages)
     cum = np.cumsum(gaps) / gaps.sum()

@@ -14,16 +14,18 @@ Mutation calls the ``mutate`` (or ``mutate_counts``) of the kernel
 and none when it is not.
 
 One loop runs both population representations, a pair (states, counts).
-On the particle path ``states`` holds one row per particle and ``counts``
-is None. For enumerated (index) families the engine instead tracks
-per-state particle counts: ``states`` is every state index and ``counts``
-holds each state's particles. Conditionally on the counts the particles
-are exchangeable and every recorded quantity is a symmetric function of
-the population, so both have one law. Only two steps differ: resampling
-draws particle rows, or a multinomial over states; mutation calls
-``mutate``, or ``mutate_counts``, which splits every state's count by
-two binomial draws vectorised over all states (the walk's rows have at
-most three nonzero entries, ``DiscreteNeighborWalk.mutate_counts``).
+The family alone picks one; no setting does. On the particle path
+``states`` holds one row per particle and ``counts`` is None. For
+enumerated (index) families of at most ``COUNT_PATH_MAX_STATES`` states
+the engine instead tracks per-state particle counts: ``states`` is every
+state index and ``counts`` holds each state's particles. Conditionally
+on the counts the particles are exchangeable and every recorded quantity
+is a symmetric function of the population, so both have one law. Only
+two steps differ: resampling draws particle rows, or a multinomial over
+states; mutation calls ``mutate``, or ``mutate_counts``, which splits
+every state's count by two binomial draws vectorised over all states (the
+walk's rows have at most three nonzero entries,
+``DiscreteNeighborWalk.mutate_counts``).
 The rest is written once: a state's log weight is its particle's plus
 log count, and the diagnostics, trace and report are shared. The count
 dynamics cost O(m) per step for m states whatever N is and support
@@ -46,11 +48,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import rng as rngmod
-from .families import AnnealedFamily, Partition
+from .families import QUIET_LOG_Q, AnnealedFamily, InvalidStateError, Partition
 from .kernels import stage_kernel
 
 COUNT_PATH_MAX_STATES = 2048
-ENGINE_MODES = ("auto", "particles", "counts")
 
 
 class WeightCollapseError(RuntimeError):
@@ -70,7 +71,6 @@ class RunConfig:
     seed: int
     step_size: Optional[float] = None
     workers: int = 1
-    engine_mode: str = "auto"  # auto | particles | counts
     restricted: bool = True
     record_resampled: bool = False
 
@@ -79,19 +79,6 @@ class RunConfig:
             raise ValueError("need at least one particle")
         if self.mutation_steps < 0:
             raise ValueError("mutation step count must be >= 0")
-        if self.engine_mode not in ENGINE_MODES:
-            raise ValueError(f"unknown engine mode {self.engine_mode!r}")
-
-    def uses_counts(self) -> bool:
-        if self.engine_mode == "counts":
-            if self.family.kind != "index":
-                raise ValueError("count engine requires an enumerated family")
-            return True
-        return (
-            self.engine_mode == "auto"
-            and self.family.kind == "index"
-            and self.family.index_log_mass.size <= COUNT_PATH_MAX_STATES
-        )
 
 
 @dataclass(frozen=True)
@@ -132,7 +119,8 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
     ``log_mass`` is the log weight of each particle (``counts`` None) or of
     each state's whole count. The draw picks N particle rows, or N states
     into new counts. Returns the resampled (states, cells, counts) and the
-    stage's diagnostics; all-zero weights raise WeightCollapseError.
+    stage's diagnostics; all-zero weights raise WeightCollapseError, and a
+    cell weight sum past float range raises InvalidStateError.
     """
     log_total = logsumexp(log_mass)
     if not np.isfinite(log_total):
@@ -142,6 +130,10 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
         mask = cells == j
         if mask.any():
             log_cell[j] = logsumexp(log_mass[mask])
+    with np.errstate(over="ignore"):
+        w_hat = np.exp(log_cell - np.log(n))
+    if not np.all(np.isfinite(w_hat)):  # log z stays finite; w_hat cannot
+        raise InvalidStateError(f"stage {stage} weight sum past float range")
     before = _histogram(cells, counts, p)
     if counts is None:
         probs = np.exp(log_mass - log_mass.max())
@@ -152,7 +144,7 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
         counts = gen.multinomial(n, pick / pick.sum())
     diag = StepDiagnostics(
         stage=stage,
-        cell_weight_sums=np.exp(log_cell - np.log(n)),
+        cell_weight_sums=w_hat,
         resample_probs=np.exp(log_cell - log_total),
         occupancy_before=before,
         occupancy_after=_histogram(cells, counts, p),
@@ -166,13 +158,14 @@ def run(config: RunConfig) -> RunReport:
     family, partition, n = config.family, config.partition, config.n_particles
     restrict = partition if config.restricted else None
     gen = rngmod.stream(config.seed, 0, rngmod.INIT)
-    if config.uses_counts():
+    if family.kind == "index" and family.index_log_mass.size <= COUNT_PATH_MAX_STATES:
         lm0 = family.betas[0] * family.index_log_mass
         probs0 = np.exp(lm0 - lm0.max())
         states, counts = np.arange(lm0.size), gen.multinomial(n, probs0 / probs0.sum())
     else:
         states, counts = family.sample_initial(n, gen), None
-    cells = partition.classify(states)
+    with np.errstate(**QUIET_LOG_Q):  # a row sum past float range keeps its sign
+        cells = partition.classify(states)
     diagnostics, seconds, trace = [], [], []
     for v in range(1, family.n_stages + 1):
         tic = time.perf_counter()
@@ -198,7 +191,8 @@ def run(config: RunConfig) -> RunReport:
                 partition=restrict, workers=config.workers,
             )
             if restrict is None:
-                cells = partition.classify(states)
+                with np.errstate(**QUIET_LOG_Q):
+                    cells = partition.classify(states)
         else:
             counts = kernel.mutate_counts(
                 counts, config.mutation_steps, gen, partition=restrict

@@ -21,7 +21,8 @@ from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 
 class InvalidStateError(ValueError):
-    """A state outside the family's support (non-finite log density)."""
+    """A state outside the family's support (non-finite log density), or a
+    stage weight sum past float range."""
 
 
 # numpy error state to evaluate log q in: an overflow shows as a non-finite
@@ -121,7 +122,6 @@ class Partition:
 
     n_cells: int
     classify: Callable[[np.ndarray], np.ndarray]
-    name: str = "partition"
 
 
 @dataclass(frozen=True)
@@ -217,24 +217,24 @@ def linear_schedule(d: int) -> tuple:
     return tuple(v / d for v in range(1, d + 1))
 
 
-def half_space_partition(d: int) -> Partition:
+def half_space_partition() -> Partition:
     """Two cells split by the hyperplane sum(x) = 0; ties go to cell 1."""
 
     def classify(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.where(_row_sum(x) > 0.0, 0, 1)
 
-    return Partition(n_cells=2, classify=classify, name=f"half-space(d={d})")
+    return Partition(n_cells=2, classify=classify)
 
 
-def spin_sign_partition(d: int) -> Partition:
+def spin_sign_partition() -> Partition:
     """Cell 0 where the spin sum is >= 0, cell 1 where it is negative."""
 
     def classify(x):
         x = np.atleast_2d(np.asarray(x))
         return np.where(_row_sum(x) >= 0, 0, 1)
 
-    return Partition(n_cells=2, classify=classify, name=f"spin-sign(d={d})")
+    return Partition(n_cells=2, classify=classify)
 
 
 def index_partition(labels: np.ndarray) -> Partition:
@@ -245,7 +245,7 @@ def index_partition(labels: np.ndarray) -> Partition:
     def classify(idx):
         return labels[np.asarray(idx, dtype=np.int64)]
 
-    return Partition(n_cells=n_cells, classify=classify, name="index-labels")
+    return Partition(n_cells=n_cells, classify=classify)
 
 
 def gaussian_mixture_target(
@@ -312,7 +312,7 @@ def gaussian_mixture_target(
         sigma=sigma,
         params={"d": d, "w": w, "sigma": sigma, "nu": nu},
     )
-    return family, half_space_partition(d)
+    return family, half_space_partition()
 
 
 def ising_target(d: int, alpha: float) -> tuple:
@@ -345,12 +345,10 @@ def ising_target(d: int, alpha: float) -> tuple:
         name="mean-field-ising",
         params={"d": d, "alpha": alpha},
     )
-    return family, spin_sign_partition(d)
+    return family, spin_sign_partition()
 
 
-def index_family(
-    base_log_mass: np.ndarray, betas, name: str = "enumerated"
-) -> AnnealedFamily:
+def index_family(base_log_mass: np.ndarray, betas) -> AnnealedFamily:
     """Tempered family over an enumerated space; states are indices."""
     base = np.asarray(base_log_mass, dtype=float)
     if not np.all(np.isfinite(base)):
@@ -373,7 +371,7 @@ def index_family(
         dimension=1,
         kind="index",
         sample_initial=sample_initial,
-        name=name,
+        name="enumerated",
         index_log_mass=base,
     )
 

@@ -102,7 +102,8 @@ class _Metropolis:
         n = x.shape[0]
         n_blocks = -(-n // _BLOCK)
         keys = rng.integers(0, 2**64, size=(n_blocks, 2), dtype=np.uint64)
-        logp = np.asarray(self.log_density(x), dtype=float)
+        with np.errstate(**QUIET_LOG_Q):  # states whose log q was checked finite
+            logp = np.asarray(self.log_density(x), dtype=float)
 
         def task(blocks):
             sl = slice(blocks.start * _BLOCK, min(n, blocks.stop * _BLOCK))

@@ -73,7 +73,7 @@ class PTResult:
     n_sweeps: int
     swap_attempts: np.ndarray
     swap_accepts: np.ndarray
-    target_trace: Optional[np.ndarray] = None  # beta=1 chain states per sweep
+    target_trace: np.ndarray  # beta=1 chain states per sweep
     marginal_counts: Optional[np.ndarray] = None  # (n_temps, n_states) for index
 
     @property
@@ -82,12 +82,12 @@ class PTResult:
 
 
 def pt_run(family: AnnealedFamily, n_sweeps: int, seed: int,
-           step_size: Optional[float] = None,
-           record_target_trace: bool = False) -> PTResult:
+           step_size: Optional[float] = None) -> PTResult:
     """Run replica exchange for n_sweeps; deterministic given the seed.
 
     A sweep advances every chain one kernel step, then proposes one
-    uniformly chosen adjacent swap.
+    uniformly chosen adjacent swap. The beta=1 chain's state after every
+    sweep is kept as the target trace.
     """
     betas = np.asarray(family.betas)
     n = betas.size
@@ -96,22 +96,20 @@ def pt_run(family: AnnealedFamily, n_sweeps: int, seed: int,
         lq = finite_log_q(family.log_q(x))
     attempts = np.zeros(n - 1, dtype=np.int64)
     accepts = np.zeros(n - 1, dtype=np.int64)
-    trace = None
-    if record_target_trace:
-        trace = np.empty((n_sweeps, *x.shape[1:]), x.dtype)
+    trace = np.empty((n_sweeps, *x.shape[1:]), x.dtype)
     gen = rngmod.stream(seed, 0, rngmod.CHAIN)
     sgen = rngmod.stream(seed, 0, rngmod.SWAP)
     for done in range(0, n_sweeps, block):
         b = min(block, n_sweeps - done)
         moves = kernel.draw_moves(gen, b, n)
-        if scale is not None:
-            moves *= scale[:, None]
         logu = np.log(gen.random((b, n)))
         pair = sgen.integers(0, n - 1, size=b)
         slogu = np.log(sgen.random(b)).tolist()
         held = np.empty((b, *x.shape), x.dtype)
         proposed = np.empty((b, n))
-        with np.errstate(**QUIET_LOG_Q):
+        with np.errstate(**QUIET_LOG_Q):  # an overflowed move fails finite_log_q
+            if scale is not None:
+                moves *= scale[:, None]
             for s, k in enumerate(pair.tolist()):
                 y = kernel.propose(x, moves[s])
                 lq_y = proposed[s] = family.log_q(y)
@@ -125,8 +123,7 @@ def pt_run(family: AnnealedFamily, n_sweeps: int, seed: int,
                 held[s] = x
         finite_log_q(proposed)
         attempts += np.bincount(pair, minlength=n - 1)
-        if trace is not None:
-            trace[done : done + b] = held[:, -1]
+        trace[done : done + b] = held[:, -1]
         if counts is not None:
             np.add.at(counts, (np.arange(n), held), 1)
     return PTResult(x, n_sweeps, attempts, accepts, trace, counts)
@@ -204,7 +201,8 @@ class ModeCrossingReport:
 
 def mode_crossing_report(trace, partition: Partition) -> ModeCrossingReport:
     """Count cell-label changes along a recorded trace of states."""
-    labels = partition.classify(np.asarray(trace))
+    with np.errstate(**QUIET_LOG_Q):  # a row sum past float range keeps its sign
+        labels = partition.classify(np.asarray(trace))
     n = labels.shape[0]
     crossings = int((labels[1:] != labels[:-1]).sum())
     occupancy = np.bincount(labels, minlength=partition.n_cells) / n if n else []

@@ -247,8 +247,7 @@ class TestConditionalWeightIdentity:
 
     def test_thin_strata_are_skipped(self, space):
         rows = conditional_weight_identity(
-            space, v=1, n_particles=500, t=10, n_runs=40, seed=47,
-            n_strata=4, min_stratum=30,
+            space, v=1, n_particles=500, t=10, n_runs=40, seed=47
         )
         assert all(r.ok is None for r in rows)
 

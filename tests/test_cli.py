@@ -91,6 +91,17 @@ class TestConfigHandling:
             fam, part, truth = build_problem(cfg)
             assert part.n_cells == 2
 
+    @pytest.mark.parametrize("method", ["smc", "pt", "st", "bogus", "SMC", ""])
+    def test_method_is_smc_pt_or_st(self, method):
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["algorithm"]["method"] = method
+        if method in ("smc", "pt", "st"):
+            assert validate_config(cfg) is cfg
+            return
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.path == "algorithm.method"
+
     def test_build_problem_unknown_family(self):
         cfg = copy.deepcopy(ISING_CFG)
         cfg["problem"]["family"] = "beta-binomial"
@@ -181,6 +192,74 @@ def test_bounds_writes_finite_table_or_one_error_line(cfg):
         if code == 0:
             table = yaml.safe_load((Path(tmp) / "b" / "bounds.yaml").read_text())
             assert all(math.isfinite(v) for v in table.values()), table
+        else:
+            assert code in (2, 3)
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+def _numbers(node):
+    """Every number in a loaded summary, however deeply nested."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _numbers(item)
+    elif isinstance(node, (int, float)):
+        yield node
+
+
+@st.composite
+def _run_configs(draw):
+    command = draw(st.sampled_from(["run-smc", "run-pt", "run-st"]))
+    family = draw(st.sampled_from(["four_state", "ising", "gaussian_mixture"]))
+    problem = {"family": family}
+    if family == "ising":
+        problem["dimension"] = draw(st.sampled_from([1, 3, 5]))
+        problem["alpha"] = draw(_ANY_FLOAT | st.floats(-5.0, 5.0))
+    elif family == "gaussian_mixture":
+        problem["dimension"] = draw(st.sampled_from([2, 3]))
+        if draw(st.booleans()):
+            problem["weight"] = draw(_ANY_FLOAT | st.floats(0.0, 1.0))
+        if draw(st.booleans()):
+            problem["sigma"] = draw(_ANY_FLOAT | st.floats(1e-3, 1e3))
+        # centres whose row sums overflow at any dimension >= 2
+        problem["center_scale"] = draw(
+            _ANY_FLOAT | st.floats(1e308, 1.7e308) | st.floats(-1.7e308, -1e308)
+        )
+    algo = {
+        "method": command[4:],
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "particles": draw(st.integers(1, 40)),
+        "mutation_steps": draw(st.integers(0, 3)),
+        "sweeps": draw(st.integers(0, 40)),
+    }
+    if draw(st.booleans()):
+        algo["step_size"] = draw(_ANY_FLOAT | st.floats(1e-3, 10.0))
+    if command == "run-smc":
+        algo["restricted"] = draw(st.booleans())
+        algo["replicates"] = draw(st.integers(1, 2))
+    if command == "run-st" and draw(st.booleans()):
+        priors = _ANY_FLOAT | st.floats(0.1, 10.0)
+        algo["pseudo_priors"] = draw(st.lists(priors, min_size=1, max_size=8))
+    threads = draw(st.sampled_from(["1", "2"]))
+    return [command, "--threads", threads], {"problem": problem, "algorithm": algo}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_run_configs())
+def test_run_commands_write_finite_summary_or_one_error_line(case):
+    # pytest turns any numpy RuntimeWarning into an error, so a run must be quiet
+    argv, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(path), "--out", f"{tmp}/o"])
+        if code == 0:
+            summary = yaml.safe_load((Path(tmp) / "o" / "summary.yaml").read_text())
+            assert all(math.isfinite(x) for x in _numbers(summary)), summary
+            assert err.getvalue() == ""
         else:
             assert code in (2, 3)
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
@@ -412,6 +491,39 @@ class TestCommands:
             assert "runtime failure: non-finite" in proc.stderr
             assert len(proc.stderr.splitlines()) == 1  # no numpy warning first
 
+    @pytest.mark.parametrize(
+        "command,problem,algo,code,message",
+        [
+            # every stage weight is e^715: log z is finite, w_hat is not
+            ("run-smc", {"family": "ising", "dimension": 1, "alpha": 1430.0}, {},
+             3, "runtime failure: stage 1 weight sum past float range"),
+            # one particle's log z is -1.7e307 or -1.5e308: their SD overflows
+            ("run-smc", {"family": "ising", "dimension": 3, "alpha": -1.0e308},
+             {"particles": 1, "mutation_steps": 0, "restricted": False,
+              "replicates": 2},
+             3, "runtime failure: replicates' log z mean or SD past float range"),
+            # the centres' distance from 0, |nu| sqrt(d), is past float range
+            ("run-pt", {"family": "gaussian_mixture", "dimension": 2,
+                        "center_scale": -1.3e308}, {},
+             2, "config error: problem.center_scale: "),
+            # replica exchange scales its moves past float range
+            ("run-pt", {"family": "gaussian_mixture", "dimension": 2},
+             {"step_size": 1.0e308}, 3, "runtime failure: non-finite"),
+        ],
+        ids=["weight-sum", "replicate-sd", "centre-distance", "pt-move"],
+    )
+    def test_float_range_failures_print_one_line(
+        self, tmp_path, capsys, command, problem, algo, code, message
+    ):
+        # in-process, so a numpy warning on the way fails the test
+        algo = {"method": command[4:], "particles": 20, "seed": 0,
+                "mutation_steps": 1, "sweeps": 5, **algo}
+        cfg = {"problem": problem, "algorithm": algo}
+        assert main([command, "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and len(err.splitlines()) == 1, err
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_run_smc_non_finite_proposal_exits_3(self, tmp_path, threads):
         # a step of 1e300 overflows the Gaussian log q of every proposal;
@@ -612,6 +724,41 @@ class TestCommands:
         path = write_cfg(tmp_path, cfg)
         assert main(["run-pt", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["run-smc", "run-pt", "run-st"])
+    @pytest.mark.parametrize("method", [None, "other", "bogus"])
+    def test_run_command_needs_its_own_method(self, tmp_path, capsys, command, method):
+        # run-<method> runs only algorithm.method: <method>, run-smc included
+        algo = {"particles": 50, "mutation_steps": 2, "sweeps": 10, "seed": 3}
+        if method is not None:
+            other = "pt" if command == "run-smc" else "smc"
+            algo["method"] = other if method == "other" else method
+        path = write_cfg(tmp_path, {"problem": {"family": "four_state"},
+                                    "algorithm": algo})
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: algorithm.method: "
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run-smc", "run-pt", "run-st"])
+    def test_centres_past_float_range_run_quietly(self, tmp_path, command):
+        # the half-space row sums of centres at 1e308 overflow but keep their
+        # sign, so the cells are right and no numpy warning reaches stderr;
+        # run-st's warning came from its pseudo-prior SMC run
+        cfg = {"problem": {"family": "gaussian_mixture", "dimension": 3,
+                           "center_scale": 1.0e308},
+               "algorithm": {"method": command[4:], "particles": 200,
+                             "mutation_steps": 5, "sweeps": 50, "seed": 42}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "modesmc", command,
+             "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_bounds_command(self, tmp_path, capsys):
         cfg = {
             "problem": {"family": "four_state"},
@@ -802,6 +949,14 @@ class TestSweep:
         results = sweep_from_config(cfg, out_dir=tmp_path / "s")
         statuses = [r["status"] for r in results]
         assert statuses == ["config-error:algorithm.step_size", "ok"]
+
+    def test_unknown_method_points_are_config_errors(self, tmp_path):
+        cfg = self.base()
+        cfg["problem"]["dimension"] = 3
+        cfg["sweep"] = {"algorithm.method": ["bogus", "smc"]}
+        results = sweep_from_config(cfg, out_dir=tmp_path / "s")
+        statuses = [r["status"] for r in results]
+        assert statuses == ["config-error:algorithm.method", "ok"]
 
     def test_empty_grid_writes_empty_table(self, tmp_path):
         cfg = self.base()

@@ -17,9 +17,10 @@ from modesmc import (
     stage_kernel,
     tv_distance,
 )
+import modesmc.engine
 from modesmc import analytic_catalog
 from modesmc import rng as rngmod
-from modesmc.engine import _resample
+from modesmc.engine import COUNT_PATH_MAX_STATES, _resample
 
 
 def _cfg(space, **kw):
@@ -32,6 +33,12 @@ def _cfg(space, **kw):
     )
     args.update(kw)
     return RunConfig(**args)
+
+
+def _take_path(monkeypatch, mode):
+    """Run index families on the count path, or force the particle path."""
+    limit = 0 if mode == "particles" else COUNT_PATH_MAX_STATES
+    monkeypatch.setattr(modesmc.engine, "COUNT_PATH_MAX_STATES", limit)
 
 
 def _initial(cfg):
@@ -291,9 +298,11 @@ class TestRun:
         assert a.log_z == b.log_z
 
     @pytest.mark.parametrize("restricted", [True, False])
-    @pytest.mark.parametrize("engine_mode", ["counts", "particles"])
-    def test_final_cells_classify_final_states(self, space, engine_mode, restricted):
-        report = run(_cfg(space, seed=6, restricted=restricted, engine_mode=engine_mode))
+    @pytest.mark.parametrize("path", ["counts", "particles"])
+    def test_final_cells_classify_final_states(self, space, path, restricted,
+                                               monkeypatch):
+        _take_path(monkeypatch, path)
+        report = run(_cfg(space, seed=6, restricted=restricted))
         cells = space.to_partition().classify(report.final_states)
         assert report.final_cells.dtype == cells.dtype
         assert np.array_equal(report.final_cells, cells)
@@ -308,15 +317,44 @@ class TestRun:
         assert report.final_cells.dtype == cells.dtype
         assert np.array_equal(report.final_cells, cells)
 
-    def test_count_and_particle_paths_share_law(self, space):
+    @pytest.mark.parametrize("extra,called", [(0, "mutate_counts"), (1, "mutate")],
+                             ids=["at-cap", "past-cap"])
+    def test_representation_switch_at_state_cap(self, monkeypatch, extra, called):
+        # index families of at most COUNT_PATH_MAX_STATES states take the
+        # count path, and one state more takes the particle path
+        calls = []
+
+        def spy(name, inner):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return call
+
+        def spying_kernel(*args, **kwargs):
+            kernel = stage_kernel(*args, **kwargs)
+            kernel.mutate = spy("mutate", kernel.mutate)
+            kernel.mutate_counts = spy("mutate_counts", kernel.mutate_counts)
+            return kernel
+
+        monkeypatch.setattr("modesmc.engine.stage_kernel", spying_kernel)
+        m = COUNT_PATH_MAX_STATES + extra
+        fam = index_family(np.zeros(m), betas=(0.5, 1.0))
+        part = index_partition((np.arange(m) >= m // 2).astype(int))
+        report = run(RunConfig(family=fam, partition=part, n_particles=20,
+                               mutation_steps=1, seed=4))
+        assert calls == [called]
+        assert report.final_states.shape == (20,)
+
+    def test_count_and_particle_paths_share_law(self, space, monkeypatch):
         # same config through both engines: per-stage mean resampling
         # probabilities agree within Monte Carlo error
         seeds = range(40)
         means = {}
         for mode in ("counts", "particles"):
+            _take_path(monkeypatch, mode)
             probs = [
-                run(_cfg(space, n=2_000, t=10, seed=rngmod.substream_seed(13, s),
-                         engine_mode=mode)).diagnostics[-1].resample_probs[0]
+                run(_cfg(space, n=2_000, t=10, seed=rngmod.substream_seed(13, s)))
+                .diagnostics[-1].resample_probs[0]
                 for s in seeds
             ]
             means[mode] = (np.mean(probs), np.std(probs, ddof=1) / math.sqrt(len(probs)))
@@ -324,15 +362,15 @@ class TestRun:
         se = math.hypot(means["counts"][1], means["particles"][1])
         assert gap <= 4 * se
 
-    def test_count_and_particle_log_z_distributions_match(self, space):
+    def test_count_and_particle_log_z_distributions_match(self, space, monkeypatch):
         # two-sample KS on the normalizing-constant estimator across seeds
         from scipy.stats import ks_2samp
 
         samples = {}
         for mode in ("counts", "particles"):
+            _take_path(monkeypatch, mode)
             samples[mode] = [
-                run(_cfg(space, n=2_000, t=10, seed=rngmod.substream_seed(14, s),
-                         engine_mode=mode)).log_z
+                run(_cfg(space, n=2_000, t=10, seed=rngmod.substream_seed(14, s))).log_z
                 for s in range(150)
             ]
         assert ks_2samp(samples["counts"], samples["particles"]).pvalue > 0.01
@@ -344,8 +382,10 @@ class TestRun:
         report = run(cfg)  # smoke: unrestricted baseline stays runnable
         assert report.final_cells.shape == (500,)
 
-    def test_conservation_every_stage(self, space):
-        for cfg in (_cfg(space, seed=9), _cfg(space, seed=9, engine_mode="particles")):
+    def test_conservation_every_stage(self, space, monkeypatch):
+        for mode in ("counts", "particles"):
+            _take_path(monkeypatch, mode)
+            cfg = _cfg(space, seed=9)
             report = run(cfg)
             for d in report.diagnostics:
                 assert abs(d.resample_probs.sum() - 1.0) < 1e-12
@@ -428,10 +468,10 @@ class TestCellTracking:
 
 
 class TestTrace:
-    def test_resampled_trace_counts(self, space):
+    def test_resampled_trace_counts(self, space, monkeypatch):
         for mode in ("counts", "particles"):
-            report = run(_cfg(space, n=1_000, t=5, seed=47, record_resampled=True,
-                              engine_mode=mode))
+            _take_path(monkeypatch, mode)
+            report = run(_cfg(space, n=1_000, t=5, seed=47, record_resampled=True))
             assert len(report.resampled_trace) == space.n_stages
             for counts in report.resampled_trace:
                 assert counts.shape == (space.n_states,)

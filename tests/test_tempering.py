@@ -121,7 +121,7 @@ class TestMatchesReferenceLoops:
         chains, attempts, accepts, counts, trace = reference_pt_index(
             family, IDENTITY_SWEEPS, seed=17
         )
-        r = pt_run(family, IDENTITY_SWEEPS, seed=17, record_target_trace=True)
+        r = pt_run(family, IDENTITY_SWEEPS, seed=17)
         assert np.array_equal(r.states, chains)
         assert np.array_equal(r.swap_attempts, attempts)
         assert np.array_equal(r.swap_accepts, accepts)
@@ -177,7 +177,7 @@ class TestEveryFamily:
     @pytest.mark.parametrize("kind", ["index", "spin", "real"])
     def test_pt_one_swap_attempt_per_sweep(self, kind):
         family = _families()[kind]
-        result = pt_run(family, 500, seed=12, record_target_trace=True)
+        result = pt_run(family, 500, seed=12)
         assert result.swap_attempts.sum() == 500
         assert result.states.shape[0] == len(family.betas)
         assert result.target_trace.shape[0] == 500
@@ -195,7 +195,7 @@ class TestEveryFamily:
 
     def test_zero_sweeps(self):
         family, part = ising_target(5, 1.0)
-        result = pt_run(family, 0, seed=1, record_target_trace=True)
+        result = pt_run(family, 0, seed=1)
         assert result.swap_attempts.sum() == 0
         report = mode_crossing_report(result.target_trace, part)
         assert report.crossings_per_sweep == 0.0
@@ -215,7 +215,7 @@ class TestExactSpinLaw:
 
     def test_pt_target_magnetisation_law(self):
         family, space = self._space()
-        result = pt_run(family, 60_000, seed=51, record_target_trace=True)
+        result = pt_run(family, 60_000, seed=51)
         levels = result.target_trace.sum(axis=1).astype(int)
         freq = np.bincount((levels + self.D) // 2, minlength=self.D + 1) / levels.size
         spins_sum = np.array([bin(i).count("1") for i in range(2**self.D)])
@@ -274,7 +274,7 @@ class TestModeCrossing:
 
     def test_symmetric_spin_pt_target_occupancy(self):
         fam, part = ising_target(5, 1.0)
-        result = pt_run(fam, 20_000, seed=41, record_target_trace=True)
+        result = pt_run(fam, 20_000, seed=41)
         report = mode_crossing_report(result.target_trace, part)
         assert report.crossings_per_sweep > 0.0
         assert abs(report.occupancy[0] - 0.5) < 0.15
