@@ -222,7 +222,6 @@ def _runs(
 class WarmnessStageReport:
     stage: int
     max_ratio: float
-    se_at_max: float
     extinction_rate: float
     ok: bool
 
@@ -247,7 +246,7 @@ def local_warmness_report(
     rows = []
     for v in range(1, space.n_stages + 1):
         counts = traces[:, v - 1, :]  # (runs, states) after stage-v resampling
-        max_ratio, se_at_max = -np.inf, np.nan
+        max_ratio = -np.inf
         extinct = 0.0
         for j in range(space.n_cells):
             members = space.cell_states(j)
@@ -256,20 +255,15 @@ def local_warmness_report(
             alive = totals > 0
             extinct = max(extinct, 1.0 - alive.mean())
             if not alive.any():
-                max_ratio, se_at_max = np.inf, np.nan
+                max_ratio = np.inf
                 continue
             cond = cell_counts[alive] / totals[alive, None]
             exact = space.conditional(v, j)
-            ratios = cond.mean(axis=0) / exact
-            ses = cond.std(axis=0, ddof=1) / math.sqrt(alive.sum()) / exact
-            k = int(np.argmax(ratios))
-            if ratios[k] > max_ratio:
-                max_ratio, se_at_max = float(ratios[k]), float(ses[k])
+            max_ratio = max(max_ratio, float((cond.mean(axis=0) / exact).max()))
         rows.append(
             WarmnessStageReport(
                 stage=v,
                 max_ratio=max_ratio,
-                se_at_max=se_at_max,
                 extinction_rate=float(extinct),
                 ok=bool(max_ratio < boundsmod.WARM_START_M),
             )
@@ -280,11 +274,8 @@ def local_warmness_report(
 @dataclass(frozen=True)
 class IdentityStratumReport:
     cell: int
-    stratum: int
     n: int
-    observed: float
     predicted: float
-    se: float
     ok: Optional[bool]  # None when the stratum was skipped as too thin
 
 
@@ -324,20 +315,15 @@ def conditional_weight_identity(
             mask = strata == s
             n = int(mask.sum())
             if n < MIN_STRATUM:
-                rows.append(
-                    IdentityStratumReport(j, s, n, np.nan, np.nan, np.nan, None)
-                )
+                rows.append(IdentityStratumReport(j, n, np.nan, None))
                 continue
             mean_res = float(residual[mask].mean())
             se = float(residual[mask].std(ddof=1) / math.sqrt(n))
             rows.append(
                 IdentityStratumReport(
                     cell=j,
-                    stratum=s,
                     n=n,
-                    observed=float(w_next[mask, j].mean()),
                     predicted=float(predicted[mask].mean()),
-                    se=se,
                     ok=bool(abs(mean_res) <= 3.0 * se),
                 )
             )
@@ -349,7 +335,6 @@ class ConcentrationReport:
     exceed_rate: float
     bound: float
     binomial_se: float
-    n_runs: int
     ok: bool
 
 
@@ -384,7 +369,6 @@ def stage_weight_concentration(
         exceed_rate=exceed_rate,
         bound=bound,
         binomial_se=se,
-        n_runs=n_runs,
         ok=bool(exceed_rate <= bound + 3.0 * se),
     )
 

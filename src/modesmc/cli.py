@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -77,10 +78,11 @@ _NUMBER = (int, float)
 METHODS = ("smc", "pt", "st")  # algorithm.method; command run-<method> runs it
 
 # dotted path -> (type, test, requirement); the test covers what the type
-# alone does not. Sizes stop below 2**63, the most numpy can index. The
-# sigma test is what gaussian_mixture_target computes: 1/(2 sigma**2) must
-# be finite and nonzero. The bounds ranges are what bounds.lambda_of and
-# gap_based_t_bound accept.
+# alone does not. Sizes stop below 2**63, the longest axis numpy takes; numpy
+# refuses an array of 2**63 bytes or more, and the machine far less (a
+# MemoryError, exit 3). The sigma test is what gaussian_mixture_target
+# computes: 1/(2 sigma**2) must be finite and nonzero. The bounds ranges are
+# what bounds.lambda_of and gap_based_t_bound accept.
 _FIELDS = {
     "problem.family": (str, None, None),
     "problem.dimension": (int, None, None),
@@ -149,18 +151,21 @@ def validate_config(cfg: dict) -> dict:
             if not isinstance(block, dict):
                 raise ConfigError(key, "must be a mapping of dotted paths to lists")
             for path, values in block.items():
-                if not isinstance(values, list) or not values:
-                    raise ConfigError(f"{key}.{path}", "must be a nonempty list")
+                if not (isinstance(path, str) and isinstance(values, list) and values):
+                    msg = "must be a dotted path to a nonempty list"
+                    raise ConfigError(f"{key}.{path}", msg)
             continue
         if key not in _BLOCKS:
             raise ConfigError(key, "unknown key")
         if not isinstance(block, dict):
             raise ConfigError(key, "must be a mapping")
-        for sub, value in block.items():
+        for sub, value in list(block.items()):
             path = f"{key}.{sub}"
             if path not in _FIELDS:
                 raise ConfigError(path, "unknown key")
             _check_field(path, value, path)
+            if value is None:  # a YAML null leaves the key unset
+                del block[sub]
     return cfg
 
 
@@ -255,18 +260,34 @@ def write_diagnostics_csv(path: Path, report: RunReport, cfg_hash: str):
                     )
                 )
             )
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
-def _summary_common(cfg_hash: str, seed: int) -> dict:
-    return {"config_hash": cfg_hash, "seed": int(seed), "version": __version__}
+def _write(path: Path, text: str):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _write_summary(path: Path, summary: dict):
-    path.write_text(yaml.safe_dump(summary, sort_keys=True))
+    _write(path, yaml.safe_dump(summary, sort_keys=True))
 
 
-def _one_smc_run(cfg, seed, threads):
+def _provenance(cfg: dict) -> dict:
+    """A summary's provenance: config hash, algorithm.seed and version."""
+    seed = int(_require(cfg, "algorithm", "seed"))
+    return {"config_hash": config_hash(cfg), "seed": seed, "version": __version__}
+
+
+def run_smc_from_config(cfg: dict, threads: int, out_dir: Path):
+    """Run the engine R = algorithm.replicates times and write its outputs.
+
+    One run writes diagnostics.csv and its figures into the summary. With
+    R > 1, replicate r runs under seed substream_seed(seed, r), writes
+    replicate_<r>/diagnostics.csv, and the summary lists every run with
+    the mean and SD of their log z. Returns (report, summary), or (the R
+    reports, summary).
+    """
+    summary = _provenance(cfg)  # a missing seed is reported first
     family, partition, truth = build_problem(cfg)
     algo = cfg.get("algorithm", {})
     config = RunConfig(
@@ -274,77 +295,53 @@ def _one_smc_run(cfg, seed, threads):
         partition=partition,
         n_particles=_require(cfg, "algorithm", "particles"),
         mutation_steps=_require(cfg, "algorithm", "mutation_steps"),
-        seed=seed,
+        seed=summary["seed"],
         step_size=algo.get("step_size"),
         workers=threads,
         restricted=algo.get("restricted", True),
     )
-    report = run(config)
-    occupancy = (
-        np.bincount(report.final_cells, minlength=partition.n_cells)
-        / report.final_cells.shape[0]
-    )
-    return report, occupancy, float(cell_tracking_error(report, truth).max())
-
-
-def run_smc_from_config(cfg: dict, threads: int = 1, out_dir: Path | None = None):
-    """Run the engine (optionally replicated) and serialize its outputs.
-
-    With replicates R > 1 the run repeats under R derived seeds; each
-    replicate gets its own diagnostics file and the summary aggregates
-    the per-replicate normalizing-constant estimates.
-    """
-    algo = cfg.get("algorithm", {})
-    master_seed = _require(cfg, "algorithm", "seed")
     replicates = algo.get("replicates", 1)
-    cfg_hash = config_hash(cfg)
     seeds = (
-        [master_seed]
+        [config.seed]
         if replicates <= 1
-        else [rngmod.substream_seed(master_seed, r) for r in range(replicates)]
+        else [rngmod.substream_seed(config.seed, r) for r in range(replicates)]
     )
-    reports, summaries = [], []
+    reports, runs = [], []
     for r, seed in enumerate(seeds):
-        report, occupancy, tracking = _one_smc_run(cfg, seed, threads)
+        report = run(dataclasses.replace(config, seed=seed))
+        occupancy = (
+            np.bincount(report.final_cells, minlength=partition.n_cells)
+            / report.final_cells.shape[0]
+        )
         reports.append(report)
-        entry = {
+        runs.append({
             "seed": int(seed),
             "log_z": float(report.log_z),
             "cell_occupancy": [float(x) for x in occupancy],
             "stage_seconds": [float(s) for s in report.stage_seconds],
-            "max_tracking_error": tracking,
-        }
-        summaries.append(entry)
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            sub = out_dir if replicates <= 1 else out_dir / f"replicate_{r:03d}"
-            sub.mkdir(parents=True, exist_ok=True)
-            write_diagnostics_csv(sub / "diagnostics.csv", report, cfg_hash)
-    summary = _summary_common(cfg_hash, master_seed)
-    summary.update(
-        {
-            "method": "smc",
-            "n_particles": int(_require(cfg, "algorithm", "particles")),
-            "mutation_steps": int(_require(cfg, "algorithm", "mutation_steps")),
-            "n_stages": int(reports[0].config.family.n_stages),
-            "replicates": int(len(seeds)),
-        }
-    )
+            "max_tracking_error": float(cell_tracking_error(report, truth).max()),
+        })
+        sub = out_dir if replicates <= 1 else out_dir / f"replicate_{r:03d}"
+        write_diagnostics_csv(sub / "diagnostics.csv", report, summary["config_hash"])
+    summary.update({
+        "method": "smc",
+        "n_particles": int(config.n_particles),
+        "mutation_steps": int(config.mutation_steps),
+        "n_stages": int(family.n_stages),
+        "replicates": len(seeds),
+    })
     if replicates <= 1:
-        summary.update(summaries[0])
+        summary.update(runs[0])
     else:
-        log_zs = [e["log_z"] for e in summaries]
+        log_zs = [e["log_z"] for e in runs]
         with np.errstate(over="ignore", invalid="ignore"):
             mean, sd = float(np.mean(log_zs)), float(np.std(log_zs, ddof=1))
         if not (math.isfinite(mean) and math.isfinite(sd)):  # log z near 1e308
             raise InvalidStateError("replicates' log z mean or SD past float range")
         summary["log_z_mean"], summary["log_z_sd"] = mean, sd
-        summary["runs"] = summaries
-    if out_dir is not None:
-        _write_summary(out_dir / "summary.yaml", summary)
-    if replicates <= 1:
-        return reports[0], summary
-    return reports, summary
+        summary["runs"] = runs
+    _write_summary(out_dir / "summary.yaml", summary)
+    return (reports[0] if replicates <= 1 else reports), summary
 
 
 def _st_pseudo_priors(cfg, family, partition):
@@ -373,15 +370,14 @@ def _st_pseudo_priors(cfg, family, partition):
     return -np.concatenate([[0.0], report.log_z_by_stage])
 
 
-def run_tempering_from_config(cfg: dict, out_dir: Path | None = None):
+def run_tempering_from_config(cfg: dict, out_dir: Path) -> dict:
     """Run replica exchange (method pt) or simulated tempering (st)."""
     family, partition, _ = build_problem(cfg)
     method = _require(cfg, "algorithm", "method")
     algo = cfg.get("algorithm", {})
     sweeps = _require(cfg, "algorithm", "sweeps")
-    seed = _require(cfg, "algorithm", "seed")
-    cfg_hash = config_hash(cfg)
-    summary = _summary_common(cfg_hash, seed)
+    summary = _provenance(cfg)
+    seed = summary["seed"]
     if method == "pt":
         result = tempering.pt_run(family, sweeps, seed, step_size=algo.get("step_size"))
         crossing = tempering.mode_crossing_report(result.target_trace, partition)
@@ -408,17 +404,15 @@ def run_tempering_from_config(cfg: dict, out_dir: Path | None = None):
                 "pseudo_priors_log": [float(x) for x in log_pseudo],
             }
         )
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_summary(out_dir / "summary.yaml", summary)
+    _write_summary(out_dir / "summary.yaml", summary)
     return summary
 
 
 def _run_method(cfg: dict, threads: int, out_dir: Path) -> dict:
     """Run the config's algorithm.method and return its summary."""
     if _require(cfg, "algorithm", "method") == "smc":
-        return run_smc_from_config(cfg, threads=threads, out_dir=out_dir)[1]
-    return run_tempering_from_config(cfg, out_dir=out_dir)
+        return run_smc_from_config(cfg, threads, out_dir)[1]
+    return run_tempering_from_config(cfg, out_dir)
 
 
 # bounds' Monte Carlo overlap draws 100_000 states of d floats at each of the
@@ -427,7 +421,7 @@ def _run_method(cfg: dict, threads: int, out_dir: Path) -> dict:
 MAX_OVERLAP_DIMENSION = 128
 
 
-def bounds_from_config(cfg: dict, out_dir: Path | None = None) -> dict:
+def bounds_from_config(cfg: dict, out_dir: Path) -> dict:
     family, partition, truth = build_problem(cfg)
     if family.name == "gaussian-mixture" and family.dimension > MAX_OVERLAP_DIMENSION:
         raise ConfigError(
@@ -454,9 +448,7 @@ def bounds_from_config(cfg: dict, out_dir: Path | None = None) -> dict:
             rng=rngmod.stream(seed, 0, rngmod.REPLICATE),
         )
     out["epsilon"] = epsilon
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_summary(out_dir / "bounds.yaml", out)
+    _write_summary(out_dir / "bounds.yaml", out)
     return out
 
 
@@ -465,11 +457,13 @@ def bounds_from_config(cfg: dict, out_dir: Path | None = None) -> dict:
 
 
 def _apply_override(cfg: dict, dotted: str, value):
-    parts = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = cfg
-    for p in parts[:-1]:
+    for p in parents:
         node = node.setdefault(p, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            raise ConfigError(dotted, f"runs through {p}, which is not a mapping")
+    node[leaf] = value
 
 
 def sweep_from_config(cfg: dict, threads: int = 1, out_dir: Path = Path("out")):
@@ -480,16 +474,14 @@ def sweep_from_config(cfg: dict, threads: int = 1, out_dir: Path = Path("out")):
     combos = list(itertools.product(*(grid[p] for p in paths))) if paths else []
     if len(combos) > 1000:
         raise ConfigError("sweep", f"grid too large: {len(combos)} > 1000 points")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def run_point(item):
         k, combo = item
         point_cfg = copy.deepcopy({x: y for x, y in cfg.items() if x != "sweep"})
-        for path, value in zip(paths, combo):
-            _apply_override(point_cfg, path, value)
-        row = {"point": k}
-        row.update({p: v for p, v in zip(paths, combo)})
+        row = {"point": k, **dict(zip(paths, combo))}
         try:
+            for path, value in zip(paths, combo):
+                _apply_override(point_cfg, path, value)
             validate_config(point_cfg)
             summary = _run_method(point_cfg, 1, out_dir / f"point_{k:03d}")
             row["status"] = "ok"
@@ -504,18 +496,15 @@ def sweep_from_config(cfg: dict, threads: int = 1, out_dir: Path = Path("out")):
             row["status"] = f"invalid-point:{exc}"
         return row
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_point, enumerate(combos)))
-    else:
-        results = [run_point(item) for item in enumerate(combos)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_point, enumerate(combos)))
 
     columns = ["point", *paths, "status", "log_z", "max_tracking_error",
                "crossings_per_sweep"]
     lines = [",".join(columns)]
     for row in results:
         lines.append(",".join(_fmt(row[c]) if c in row else "" for c in columns))
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     return results
 
 
@@ -571,12 +560,10 @@ def main(argv=None) -> int:
             width = max(len(r[0]) for r in rows)
             for name, passed, detail in rows:
                 print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")
-            out = Path(args.out) if args.out else Path("out")
-            out.mkdir(parents=True, exist_ok=True)
             lines = ["check,passed,detail"]
             for name, passed, detail in rows:
                 lines.append(f"{name},{str(bool(passed))},\"{detail}\"")
-            (out / "verify.csv").write_text("\n".join(lines) + "\n")
+            _write(_out_dir(args, {}) / "verify.csv", "\n".join(lines) + "\n")
             return 0 if all(r[1] for r in rows) else 1
 
         cfg = _load(args)
@@ -598,7 +585,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (WeightCollapseError, InvalidStateError) as exc:
+    except (WeightCollapseError, InvalidStateError, MemoryError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

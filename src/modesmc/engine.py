@@ -93,7 +93,6 @@ class StepDiagnostics:
 
 @dataclass
 class RunReport:
-    config: RunConfig
     seed: int
     final_states: np.ndarray
     final_cells: np.ndarray
@@ -201,7 +200,6 @@ def run(config: RunConfig) -> RunReport:
     if counts is not None:  # one row per particle, as callers index them
         states, cells = np.repeat(states, counts), np.repeat(cells, counts)
     return RunReport(
-        config=config,
         seed=config.seed,
         final_states=states,
         final_cells=cells,

@@ -70,7 +70,6 @@ def _chains(family: AnnealedFamily, step_size, seed: int, n_chains: int):
 @dataclass
 class PTResult:
     states: np.ndarray  # final chains, row v at betas[v]
-    n_sweeps: int
     swap_attempts: np.ndarray
     swap_accepts: np.ndarray
     target_trace: np.ndarray  # beta=1 chain states per sweep
@@ -126,12 +125,11 @@ def pt_run(family: AnnealedFamily, n_sweeps: int, seed: int,
         trace[done : done + b] = held[:, -1]
         if counts is not None:
             np.add.at(counts, (np.arange(n), held), 1)
-    return PTResult(x, n_sweeps, attempts, accepts, trace, counts)
+    return PTResult(x, attempts, accepts, trace, counts)
 
 
 @dataclass
 class STResult:
-    n_sweeps: int
     temp_counts: np.ndarray
     state: np.ndarray  # final state, a batch of one
     temp: int  # final temperature index
@@ -189,14 +187,13 @@ def st_run(family: AnnealedFamily, n_sweeps: int, seed: int, log_pseudo,
             trace[done : done + b] = temps
         if counts is not None:
             np.add.at(counts, (temps, held[:, 0]), 1)
-    return STResult(n_sweeps, temp_counts, x, k, counts, trace)
+    return STResult(temp_counts, x, k, counts, trace)
 
 
 @dataclass(frozen=True)
 class ModeCrossingReport:
     crossings_per_sweep: float
     occupancy: np.ndarray  # per-cell fraction of the trace; empty for no sweeps
-    n_sweeps: int
 
 
 def mode_crossing_report(trace, partition: Partition) -> ModeCrossingReport:
@@ -206,4 +203,4 @@ def mode_crossing_report(trace, partition: Partition) -> ModeCrossingReport:
     n = labels.shape[0]
     crossings = int((labels[1:] != labels[:-1]).sum())
     occupancy = np.bincount(labels, minlength=partition.n_cells) / n if n else []
-    return ModeCrossingReport(crossings / max(1, n - 1), np.asarray(occupancy), n)
+    return ModeCrossingReport(crossings / max(1, n - 1), np.asarray(occupancy))

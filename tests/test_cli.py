@@ -265,6 +265,61 @@ def test_run_commands_write_finite_summary_or_one_error_line(case):
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
+# sweep paths: every config key, unknown keys, paths through a leaf value,
+# and a key that is not a string
+_SWEEP_PATHS = st.sampled_from(
+    sorted(_FIELDS) + [f"{path}.x" for path in sorted(_FIELDS)]
+    + ["problem.bogus", "bogus.key", "algorithm", "", 1]
+)
+# small values only: every point must run in milliseconds
+_SWEEP_VALUES = st.sampled_from(
+    [None, True, -1, 0, 1, 3, 5, 0.5, 1e300, "smc", "pt", "st", "bogus",
+     "four_state", "ising", [1.0] * 4]
+)
+
+
+@st.composite
+def _sweep_configs(draw):
+    algo = {
+        "method": draw(st.sampled_from(["smc", "pt", "st"])),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "particles": draw(st.integers(1, 20)),
+        "mutation_steps": draw(st.integers(0, 2)),
+        "sweeps": draw(st.integers(0, 20)),
+    }
+    problem = draw(st.sampled_from(
+        [{"family": "four_state"}, {"family": "ising", "dimension": 3}]
+    ))
+    grid, budget = {}, 3  # at most 3 points
+    for path in draw(st.lists(_SWEEP_PATHS, max_size=2, unique=True)):
+        grid[path] = draw(st.lists(_SWEEP_VALUES, min_size=1, max_size=budget))
+        budget //= len(grid[path])
+    threads = draw(st.sampled_from(["1", "2"]))
+    return threads, {"problem": problem, "algorithm": algo, "sweep": grid}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_sweep_configs())
+def test_sweep_writes_one_row_per_point_or_one_error_line(case):
+    threads, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--threads", threads, "--config", str(path),
+                         "--out", f"{tmp}/s"])
+        if code == 0:
+            grid = cfg["sweep"]
+            n_points = math.prod(map(len, grid.values())) if grid else 0
+            rows = (Path(tmp) / "s" / "sweep.csv").read_text().splitlines()
+            assert len(rows) == 1 + n_points, rows
+            assert err.getvalue() == ""
+        else:
+            assert code in (2, 3)
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
 def test_readme_library_example_runs():
     # the README's one python block runs as written against this source tree
     (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
@@ -424,6 +479,22 @@ class TestCommands:
         assert main(["run-pt", "--config", str(path),
                      "--out", str(tmp_path / "pt")]) == 0
 
+    def test_refused_allocation_exits_3(self, tmp_path):
+        # the beta=1 trace of 1e17 sweeps is 711 PiB, past any x86-64 address
+        # space, so numpy's MemoryError comes at once and nothing is held
+        cfg = {"problem": {"family": "four_state"},
+               "algorithm": {"method": "pt", "sweeps": 10**17, "seed": 3}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "modesmc", "run-pt",
+             "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("runtime failure: Unable to allocate")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "o" / "summary.yaml").exists()
+
     @pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
     @pytest.mark.parametrize(
         "key", ["particles", "mutation_steps", "sweeps", "replicates"]
@@ -523,6 +594,18 @@ class TestCommands:
                      "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert err.startswith(message) and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("key", ["replicates", "restricted", "step_size"])
+    def test_null_value_leaves_key_unset(self, tmp_path, key):
+        # YAML null means unset: the run and its config hash are the default's
+        outputs = []
+        for name, extra in (("unset", {}), ("null", {key: None})):
+            cfg = copy.deepcopy(ISING_CFG)
+            cfg["algorithm"].update(extra)
+            path, out = write_cfg(tmp_path, cfg, f"{name}.yaml"), tmp_path / name
+            assert main(["run-smc", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append((out / "diagnostics.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_run_smc_non_finite_proposal_exits_3(self, tmp_path, threads):
@@ -957,6 +1040,24 @@ class TestSweep:
         results = sweep_from_config(cfg, out_dir=tmp_path / "s")
         statuses = [r["status"] for r in results]
         assert statuses == ["config-error:algorithm.method", "ok"]
+
+    def test_path_through_a_scalar_is_a_config_error(self, tmp_path):
+        cfg = self.base()
+        cfg["problem"]["dimension"] = 3
+        cfg["sweep"] = {"algorithm.seed.x": [1, 2]}
+        results = sweep_from_config(cfg, out_dir=tmp_path / "s")
+        statuses = [r["status"] for r in results]
+        assert statuses == ["config-error:algorithm.seed.x"] * 2
+        assert not (tmp_path / "s" / "point_000").exists()
+        table = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+        assert table[1] == "0,1,config-error:algorithm.seed.x,,,"
+
+    def test_path_that_is_not_a_string_exits_2(self, tmp_path, capsys):
+        cfg = self.base()
+        cfg["sweep"] = {1: [2]}
+        path = write_cfg(tmp_path, cfg)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: sweep.1: ")
 
     def test_empty_grid_writes_empty_table(self, tmp_path):
         cfg = self.base()
