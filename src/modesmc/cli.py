@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import math
 import sys
@@ -278,6 +280,15 @@ def _provenance(cfg: dict) -> dict:
     return {"config_hash": config_hash(cfg), "seed": seed, "version": __version__}
 
 
+def _particle_count(n: int, family) -> int:
+    """n, unless N rows of d 8-byte numbers reach the 2**63 bytes numpy
+    refuses outright (below that a refusal is a MemoryError, exit 3)."""
+    if n * max(family.dimension, 1) * 8 >= 2**63:
+        msg = f"times dimension times 8 bytes must be below 2**63, got {_shown(n)}"
+        raise ConfigError("algorithm.particles", msg)
+    return n
+
+
 def run_smc_from_config(cfg: dict, threads: int, out_dir: Path):
     """Run the engine R = algorithm.replicates times and write its outputs.
 
@@ -293,7 +304,7 @@ def run_smc_from_config(cfg: dict, threads: int, out_dir: Path):
     config = RunConfig(
         family=family,
         partition=partition,
-        n_particles=_require(cfg, "algorithm", "particles"),
+        n_particles=_particle_count(_require(cfg, "algorithm", "particles"), family),
         mutation_steps=_require(cfg, "algorithm", "mutation_steps"),
         seed=summary["seed"],
         step_size=algo.get("step_size"),
@@ -362,7 +373,7 @@ def _st_pseudo_priors(cfg, family, partition):
     config = RunConfig(
         family=family,
         partition=partition,
-        n_particles=algo.get("particles", 1000),
+        n_particles=_particle_count(algo.get("particles", 1000), family),
         mutation_steps=algo.get("mutation_steps", 20),
         seed=_require(cfg, "algorithm", "seed"),
     )
@@ -501,10 +512,10 @@ def sweep_from_config(cfg: dict, threads: int = 1, out_dir: Path = Path("out")):
 
     columns = ["point", *paths, "status", "log_z", "max_tracking_error",
                "crossings_per_sweep"]
-    lines = [",".join(columns)]
-    for row in results:
-        lines.append(",".join(_fmt(row[c]) if c in row else "" for c in columns))
-    _write(out_dir / "sweep.csv", "\n".join(lines) + "\n")
+    rows = [[_fmt(row[c]) if c in row else "" for c in columns] for row in results]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([columns, *rows])
+    _write(out_dir / "sweep.csv", text.getvalue())
     return results
 
 

@@ -13,23 +13,32 @@ Mutation calls the ``mutate`` (or ``mutate_counts``) of the kernel
 ``stage_kernel`` returns, with the run's partition when it is restricted
 and none when it is not.
 
-One loop runs both population representations, a pair (states, counts).
-The family alone picks one; no setting does. On the particle path
-``states`` holds one row per particle and ``counts`` is None. For
-enumerated (index) families of at most ``COUNT_PATH_MAX_STATES`` states
-the engine instead tracks per-state particle counts: ``states`` is every
-state index and ``counts`` holds each state's particles. Conditionally
-on the counts the particles are exchangeable and every recorded quantity
-is a symmetric function of the population, so both have one law. Only
-two steps differ: resampling draws particle rows, or a multinomial over
-states; mutation calls ``mutate``, or ``mutate_counts``, which splits
-every state's count by two binomial draws vectorised over all states (the
-walk's rows have at most three nonzero entries,
-``DiscreteNeighborWalk.mutate_counts``).
-The rest is written once: a state's log weight is its particle's plus
-log count, and the diagnostics, trace and report are shared. The count
-dynamics cost O(m) per step for m states whatever N is and support
-particle counts in the millions; the final counts are expanded to N rows.
+One loop runs both population representations, a pair (states, counts);
+the family alone picks one. On the particle path ``states`` holds one row
+per particle and ``counts`` is None. On the count path ``states`` holds
+each state once and ``counts`` its particles, for families of at most
+``COUNT_PATH_MAX_STATES`` states: an index family on its states, and the
+family named "mean-field-ising" on its d + 1 magnetisation levels
+(``families.spin_levels``). Given the counts the particles are
+exchangeable and every recorded quantity is symmetric in them, so both
+have one law. Only resampling (particle rows, or a multinomial over
+states) and mutation (``mutate``, or ``mutate_counts``: two binomial
+draws per step over all states, O(m) whatever N is) differ. The final
+counts are expanded to N rows, ordered by state.
+
+The levels are exact for a partition that is a function of the spin sum,
+as the sign partition is. Single-site flip moves the level k (number of
++1 spins) of any configuration up with probability (d - k)/d min(1, e^D)
+and down with k/d min(1, e^-D), refusing cross-cell moves by k alone, so
+the restricted kernel lumps onto k (strong lumpability). mu_0 gives level
+k mass C(d, k) q(k)^beta_0 and weights and cells are functions of k, so
+the level counts have the particle path's law: log z, every diagnostic,
+the final cells and the level histogram. Each step commutes with a common
+permutation of the sites, so given its level a final particle is uniform
+on the level set; one site permutation per particle from the LEVELS
+stream draws it. Siblings of a resampled parent are independent here, not
+on the particle path: only the joint law of configurations differs, and
+``estimate`` keeps its mean for any f. ``workers`` has no effect here.
 
 Output is a pure function of (config, seed): all randomness comes from
 counter-based per-(stage, phase) Philox streams, and mutation noise comes
@@ -45,10 +54,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from . import rng as rngmod
 from .families import QUIET_LOG_Q, AnnealedFamily, InvalidStateError, Partition
+from .families import finite_log_q, spin_levels
 from .kernels import stage_kernel
 
 COUNT_PATH_MAX_STATES = 2048
@@ -64,6 +74,9 @@ class WeightCollapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's inputs. A mean-field-ising family runs on its levels, so
+    its partition must be a function of the spin sum (module docstring)."""
+
     family: AnnealedFamily
     partition: Partition
     n_particles: int
@@ -152,15 +165,31 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
     return states, cells, counts, diag
 
 
+def _initial_counts(family):
+    """The count path's states and their stage-0 log masses, or None for a
+    family that runs on particles (module docstring)."""
+    base, d = family.index_log_mass, family.dimension
+    if family.kind == "index" and base.size <= COUNT_PATH_MAX_STATES:
+        return np.arange(base.size), family.betas[0] * base
+    if family.name != "mean-field-ising" or d + 1 > COUNT_PATH_MAX_STATES:
+        return None
+    levels, k = spin_levels(d), np.arange(d + 1)
+    with np.errstate(**QUIET_LOG_Q):
+        lq = finite_log_q(family.log_q(levels))
+    log_comb = gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)  # d up to 2047
+    return levels, log_comb + family.betas[0] * lq
+
+
 def run(config: RunConfig) -> RunReport:
     """Execute a full run; deterministic given the config (incl. seed)."""
     family, partition, n = config.family, config.partition, config.n_particles
     restrict = partition if config.restricted else None
     gen = rngmod.stream(config.seed, 0, rngmod.INIT)
-    if family.kind == "index" and family.index_log_mass.size <= COUNT_PATH_MAX_STATES:
-        lm0 = family.betas[0] * family.index_log_mass
+    start = _initial_counts(family)
+    if start is not None:
+        states, lm0 = start
         probs0 = np.exp(lm0 - lm0.max())
-        states, counts = np.arange(lm0.size), gen.multinomial(n, probs0 / probs0.sum())
+        counts = gen.multinomial(n, probs0 / probs0.sum())
     else:
         states, counts = family.sample_initial(n, gen), None
     with np.errstate(**QUIET_LOG_Q):  # a row sum past float range keeps its sign
@@ -177,9 +206,11 @@ def run(config: RunConfig) -> RunReport:
             rngmod.stream(config.seed, v, rngmod.RESAMPLE), partition.n_cells,
         )
         diagnostics.append(diag)
-        if config.record_resampled:  # index families: a histogram over states
-            if family.kind == "index":
-                trace.append(_histogram(states, counts, family.index_log_mass.size))
+        if config.record_resampled:  # a histogram over states or levels
+            if counts is not None:
+                trace.append(counts.copy())
+            elif family.kind == "index":
+                trace.append(_histogram(states, None, family.index_log_mass.size))
             else:
                 trace.append(states.copy())
         kernel = stage_kernel(family, v, step_size=config.step_size)
@@ -198,7 +229,10 @@ def run(config: RunConfig) -> RunReport:
             )
         seconds.append(time.perf_counter() - tic)
     if counts is not None:  # one row per particle, as callers index them
-        states, cells = np.repeat(states, counts), np.repeat(cells, counts)
+        states, cells = np.repeat(states, counts, axis=0), np.repeat(cells, counts)
+        if states.ndim == 2:  # spin levels: a uniform configuration of each
+            gen = rngmod.stream(config.seed, family.n_stages, rngmod.LEVELS)
+            gen.permuted(states, axis=1, out=states)
     return RunReport(
         seed=config.seed,
         final_states=states,

@@ -348,6 +348,12 @@ def ising_target(d: int, alpha: float) -> tuple:
     return family, spin_sign_partition()
 
 
+def spin_levels(d: int) -> np.ndarray:
+    """One int8 spin row per magnetisation level k = 0..d (k = number of +1
+    spins): k leading +1s, then -1s."""
+    return np.where(np.arange(d) < np.arange(d + 1)[:, None], 1, -1).astype(np.int8)
+
+
 def index_family(base_log_mass: np.ndarray, betas) -> AnnealedFamily:
     """Tempered family over an enumerated space; states are indices."""
     base = np.asarray(base_log_mass, dtype=float)

@@ -51,6 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .families import QUIET_LOG_Q, AnnealedFamily, Partition, finite_log_q
+from .families import spin_levels
 
 
 def default_step_variance(sigma: float, beta: float, d: int) -> float:
@@ -74,6 +75,46 @@ def _run_chunked(task, n, workers):
         return
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         list(pool.map(task, chunks))
+
+
+def _birth_death_band(log_mass, down_pick, up_pick, labels=None):
+    """Move probabilities ``(down, up)`` of a Metropolized birth-death chain:
+    i -> i -+ 1 proposed with probability ``down_pick[i - 1]``/``up_pick[i]``
+    (scalars or per edge), accepted with min(1, mass ratio). Moves off the
+    path or across a change of ``labels`` are refused (stays)."""
+    step = np.diff(log_mass)
+    down = np.zeros(log_mass.size)
+    up = np.zeros(log_mass.size)
+    up[:-1] = up_pick * np.exp(np.minimum(0.0, step))
+    down[1:] = down_pick * np.exp(np.minimum(0.0, -step))
+    if labels is not None:
+        edge = labels[1:] != labels[:-1]
+        up[:-1][edge] = 0.0
+        down[1:][edge] = 0.0
+    return down, up
+
+
+def _birth_death_counts(counts, down, up, t, rng):
+    """Advance per-state counts t steps of the birth-death band (down, up).
+
+    Given the counts, particles move independently, so the c particles at
+    state i split exactly, by the multinomial's conditionals, as L ~ Bin(c,
+    down[i]) left, then R ~ Bin(c - L, up[i] / (1 - down[i])) right: two
+    calls per step, vectorised over all states. That conditional is
+    clipped to [0, 1] (down + up = 1 can round it to 1 + 2**-52) and is 0
+    where down == 1.
+    """
+    counts = np.asarray(counts, dtype=np.int64).copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up_rest = np.clip(up / (1.0 - down), 0.0, 1.0)
+    up_rest[down == 1.0] = 0.0
+    for _ in range(t):
+        left = rng.binomial(counts, down)
+        right = rng.binomial(counts - left, up_rest)
+        counts -= left + right
+        counts[:-1] += left[1:]
+        counts[1:] += right[:-1]
+    return counts
 
 
 class _Metropolis:
@@ -176,6 +217,21 @@ class SingleSiteFlip(_Metropolis):
         y[np.arange(x.shape[0]), move] *= -1
         return y
 
+    def mutate_counts(self, counts, t, rng, partition=None):
+        """Advance counts over the levels k = 0..d (number of +1 spins) t
+        steps: law-equivalent to mutate when the log density and partition
+        are functions of the spin sum, as the chain then lumps onto k
+        (engine docstring), with ``up[k] = (d - k)/d min(1, e^D)`` and
+        ``down[k] = k/d min(1, e^-D)``. Level log densities must be finite.
+        """
+        levels = spin_levels(self.dim)
+        pick = np.arange(1, self.dim + 1) / self.dim
+        with np.errstate(**QUIET_LOG_Q):
+            lp = finite_log_q(self.log_density(levels))
+            labels = None if partition is None else partition.classify(levels)
+            down, up = _birth_death_band(lp, pick, pick[::-1], labels)
+        return _birth_death_counts(counts, down, up, t, rng)
+
 
 class DiscreteNeighborWalk(_Metropolis):
     """Metropolized nearest-neighbor walk on an enumerated path of states."""
@@ -202,27 +258,12 @@ class DiscreteNeighborWalk(_Metropolis):
         return np.where((y >= 0) & (y < self.n_states), y, x)
 
     def band(self, partition=None):
-        """Per-state move probabilities ``(down, up)`` to i-1 and i+1.
-
-        The proposal picks a neighbour with probability 1/2 and accepts with
-        min(1, mass ratio), so ``up[i] = 0.5 * exp(min(0, lm[i+1] - lm[i]))``.
-        Moves off the path, and under a partition moves across a cell edge,
-        get probability 0: the refused particle stays put, which is the
-        refusal construction of ``restrict_transition_matrix``. Every other
-        entry of a kernel row is 0 apart from the stay probability
-        ``1 - down - up``.
-        """
-        step = np.diff(self.log_mass)
-        down = np.zeros(self.n_states)
-        up = np.zeros(self.n_states)
-        up[:-1] = 0.5 * np.exp(np.minimum(0.0, step))
-        down[1:] = 0.5 * np.exp(np.minimum(0.0, -step))
-        if partition is not None:
-            labels = partition.classify(np.arange(self.n_states))
-            edge = labels[1:] != labels[:-1]
-            up[:-1][edge] = 0.0
-            down[1:][edge] = 0.0
-        return down, up
+        """Per-state move probabilities ``(down, up)`` to i-1 and i+1: a
+        neighbour proposed with probability 1/2 (``_birth_death_band``)."""
+        labels = None if partition is None else partition.classify(
+            np.arange(self.n_states)
+        )
+        return _birth_death_band(self.log_mass, 0.5, 0.5, labels)
 
     def transition_matrix(self) -> np.ndarray:
         down, up = self.band()
@@ -233,29 +274,8 @@ class DiscreteNeighborWalk(_Metropolis):
         return P
 
     def mutate_counts(self, counts, t, rng, partition=None):
-        """Advance a per-state population t steps (law-equivalent to mutate).
-
-        Conditionally on the counts, particles move independently, so the
-        next population is a sum of per-state multinomial splits along the
-        kernel rows. A row has at most three nonzero entries (``band``), so
-        the split of the c particles at state i is drawn exactly in two
-        conditional binomial steps: L ~ Bin(c, down[i]) move left, then
-        R ~ Bin(c - L, up[i] / (1 - down[i])) of the rest move right, and
-        the others stay. This is the factorisation of the multinomial law
-        into its conditionals, so no approximation is made; each draw is
-        vectorised over all states, giving two calls per step and O(m)
-        memory.
-        """
-        counts = np.asarray(counts, dtype=np.int64).copy()
-        down, up = self.band(partition)
-        up_rest = up / (1.0 - down)  # down <= 1/2, so no division by 0
-        for _ in range(t):
-            left = rng.binomial(counts, down)
-            right = rng.binomial(counts - left, up_rest)
-            counts -= left + right
-            counts[:-1] += left[1:]
-            counts[1:] += right[:-1]
-        return counts
+        """Advance per-state counts t steps (law-equivalent to mutate)."""
+        return _birth_death_counts(counts, *self.band(partition), t, rng)
 
 
 @dataclass(frozen=True)

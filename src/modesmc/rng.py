@@ -17,6 +17,7 @@ MUTATE = 2
 CHAIN = 3
 SWAP = 4
 REPLICATE = 5
+LEVELS = 6
 
 _MAX_SEED = 2**64
 

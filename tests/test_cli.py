@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import modesmc.engine
 from modesmc import WeightCollapseError
 from modesmc.cli import (
     _FIELDS,
@@ -509,6 +511,29 @@ class TestCommands:
         cfg["algorithm"][key] = 2**63 - 1  # the largest size still accepted
         assert validate_config(cfg) is cfg
 
+    @pytest.mark.parametrize("method", ["smc", "st"])
+    def test_particles_past_numpy_array_size_exits_2(self, tmp_path, capsys, method):
+        # 2**62 rows of 5 numbers of 8 bytes are 2**62 * 40 bytes, and numpy
+        # refuses any array of 2**63 bytes or more
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["algorithm"].update({"method": method, "particles": 2**62, "sweeps": 3})
+        assert main([f"run-{method}", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: algorithm.particles: "), err
+        assert len(err.splitlines()) == 1
+
+    def test_particles_below_numpy_array_size_exit_3(self, tmp_path, capsys):
+        # one particle fewer than 2**63 bytes of final rows: the allocation
+        # is refused at once (past any address space), a MemoryError
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["algorithm"]["particles"] = (2**63 - 1) // 40
+        assert main(["run-smc", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: Unable to allocate"), err
+        assert len(err.splitlines()) == 1
+
     def test_integer_past_python_digit_limit_exits_2(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         long_step = "algorithm:\n  step_size: " + "7" * 5001 + "\n"
@@ -563,29 +588,35 @@ class TestCommands:
             assert len(proc.stderr.splitlines()) == 1  # no numpy warning first
 
     @pytest.mark.parametrize(
-        "command,problem,algo,code,message",
+        "command,problem,algo,code,message,particle_path",
         [
             # every stage weight is e^715: log z is finite, w_hat is not
             ("run-smc", {"family": "ising", "dimension": 1, "alpha": 1430.0}, {},
-             3, "runtime failure: stage 1 weight sum past float range"),
-            # one particle's log z is -1.7e307 or -1.5e308: their SD overflows
+             3, "runtime failure: stage 1 weight sum past float range", False),
+            # one particle's log z is -1.7e307 or -1.5e308: their SD overflows.
+            # The two seeds draw those spin sums on the particle path; on the
+            # spin levels they draw one level and the run exits 0
             ("run-smc", {"family": "ising", "dimension": 3, "alpha": -1.0e308},
              {"particles": 1, "mutation_steps": 0, "restricted": False,
               "replicates": 2},
-             3, "runtime failure: replicates' log z mean or SD past float range"),
+             3, "runtime failure: replicates' log z mean or SD past float range",
+             True),
             # the centres' distance from 0, |nu| sqrt(d), is past float range
             ("run-pt", {"family": "gaussian_mixture", "dimension": 2,
                         "center_scale": -1.3e308}, {},
-             2, "config error: problem.center_scale: "),
+             2, "config error: problem.center_scale: ", False),
             # replica exchange scales its moves past float range
             ("run-pt", {"family": "gaussian_mixture", "dimension": 2},
-             {"step_size": 1.0e308}, 3, "runtime failure: non-finite"),
+             {"step_size": 1.0e308}, 3, "runtime failure: non-finite", False),
         ],
         ids=["weight-sum", "replicate-sd", "centre-distance", "pt-move"],
     )
     def test_float_range_failures_print_one_line(
-        self, tmp_path, capsys, command, problem, algo, code, message
+        self, tmp_path, capsys, monkeypatch, command, problem, algo, code, message,
+        particle_path,
     ):
+        if particle_path:
+            monkeypatch.setattr(modesmc.engine, "COUNT_PATH_MAX_STATES", 0)
         # in-process, so a numpy warning on the way fails the test
         algo = {"method": command[4:], "particles": 20, "seed": 0,
                 "mutation_steps": 1, "sweeps": 5, **algo}
@@ -979,6 +1010,16 @@ class TestSweep:
         assert len(table) == 4
         for k in range(3):
             assert (tmp_path / "s" / f"point_{k:03d}" / "diagnostics.csv").exists()
+
+    def test_sweep_csv_quotes_values_with_commas(self, tmp_path):
+        cfg = self.base()
+        cfg["problem"]["dimension"] = 3
+        cfg["sweep"] = {"algorithm.pseudo_priors": [[1.0, 1.0]]}
+        sweep_from_config(cfg, out_dir=tmp_path / "s")
+        with open(tmp_path / "s" / "sweep.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [6, 6]
+        assert rows[1][:3] == ["0", "[1.0, 1.0]", "ok"]
 
     def test_tracking_error_decreases_with_particles(self, tmp_path):
         cfg = {

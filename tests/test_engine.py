@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, kstest, norm
+from scipy.stats import chisquare, ks_2samp, kstest, norm
 
+from conftest import assert_same_run
 from modesmc import (
     RunConfig,
     WeightCollapseError,
@@ -12,6 +14,7 @@ from modesmc import (
     gaussian_mixture_target,
     index_family,
     index_partition,
+    ising_space,
     ising_target,
     run,
     stage_kernel,
@@ -36,7 +39,8 @@ def _cfg(space, **kw):
 
 
 def _take_path(monkeypatch, mode):
-    """Run index families on the count path, or force the particle path."""
+    """Run index families and the spin model's levels on the count path, or
+    force the particle path."""
     limit = 0 if mode == "particles" else COUNT_PATH_MAX_STATES
     monkeypatch.setattr(modesmc.engine, "COUNT_PATH_MAX_STATES", limit)
 
@@ -503,3 +507,82 @@ class TestTrace:
             assert not np.shares_memory(states, report.final_states)
             occupancy = np.bincount(part.classify(states), minlength=2)
             assert np.array_equal(occupancy, diag.occupancy_after)
+
+
+def _spin(d, n, t, seed, alpha=1.0, **kw):
+    fam, part = ising_target(d, alpha)
+    return RunConfig(family=fam, partition=part, n_particles=n, mutation_steps=t,
+                     seed=seed, **kw)
+
+
+class TestSpinLevels:
+    """The spin model's count path over its d + 1 magnetisation levels."""
+
+    @pytest.mark.parametrize("restricted", [True, False])
+    @pytest.mark.parametrize("d", [5, 7])
+    def test_levels_and_particles_share_law(self, monkeypatch, d, restricted):
+        # two-sample KS tests over 200 seeds on log z and the final fraction
+        # of particles in cell 0
+        samples = {}
+        for mode in ("counts", "particles"):
+            _take_path(monkeypatch, mode)
+            reports = [
+                run(_spin(d, 200, 5, rngmod.substream_seed(60 + d, s),
+                          restricted=restricted))
+                for s in range(200)
+            ]
+            samples[mode] = (
+                [r.log_z for r in reports],
+                [float(np.mean(r.final_cells == 0)) for r in reports],
+            )
+        for a, b in zip(samples["counts"], samples["particles"]):
+            assert ks_2samp(a, b).pvalue > 0.001
+
+    def test_one_final_particle_follows_the_target(self):
+        # one uniformly chosen final particle from each of 1000 runs, by
+        # chi-square over the 32 configurations of d = 5 against mu_V
+        fam, _ = ising_target(5, 1.0)
+        mu = ising_space(5, 1.0, fam.betas).stage_probs(fam.n_stages)
+        pick = np.random.default_rng(67)
+        counts = np.zeros(32)
+        for s in range(1000):
+            report = run(_spin(5, 200, 5, rngmod.substream_seed(67, s)))
+            x = report.final_states[pick.integers(200)]
+            counts[((x > 0) << np.arange(5)).sum()] += 1
+        assert chisquare(counts, 1000 * mu).pvalue > 0.001
+
+    def test_other_spin_family_takes_particle_path(self, monkeypatch):
+        # the levels serve the family named mean-field-ising only
+        cfg = _spin(5, 300, 4, 3)
+        other = dataclasses.replace(cfg.family, name="custom-spin")
+        report = run(dataclasses.replace(cfg, family=other))
+        _take_path(monkeypatch, "particles")
+        assert_same_run(report, run(cfg))
+
+    def test_copied_partition_keeps_the_levels(self):
+        # wrapped copies of the callables, as a tracer makes, run the same
+        # levels: the path is the family's, not the partition's identity
+        cfg = _spin(15, 2000, 10, 5)
+        part = dataclasses.replace(cfg.partition,
+                                   classify=lambda x: cfg.partition.classify(x))
+        fam = dataclasses.replace(cfg.family, log_q=lambda x: cfg.family.log_q(x))
+        assert_same_run(run(cfg), run(dataclasses.replace(cfg, family=fam,
+                                                          partition=part)))
+
+    @pytest.mark.parametrize("alpha,restricted", [(0.0, False), (-2.0, True),
+                                                  (-2.0, False)])
+    @pytest.mark.parametrize("d", [5, 15])
+    def test_band_edges_run_quietly(self, d, alpha, restricted):
+        # alpha = 0 unrestricted has down + up = 1 on every level, whose
+        # conditional rounds past 1 at (d, k) = (5, 4) and (15, 12); alpha < 0
+        # moves every particle off the end levels (down[d] = 1)
+        report = run(_spin(d, 500, 5, 7, alpha=alpha, restricted=restricted))
+        assert report.final_states.shape == (500, d)
+        assert np.isfinite(report.log_z)
+
+    def test_resampled_trace_is_a_level_histogram(self):
+        report = run(_spin(7, 1000, 5, 9, record_resampled=True))
+        assert len(report.resampled_trace) == 7
+        for counts in report.resampled_trace:
+            assert counts.shape == (8,)
+            assert counts.sum() == 1000

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import modesmc.engine
 from conftest import assert_same_run, same_bits
 from modesmc import (
     AnnealedFamily,
@@ -512,13 +513,15 @@ class TestClosuresMatchReference:
 
 class TestRunsMatchReferenceClosures:
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("kind", ["gaussian", "ising"])
-    def test_run_is_byte_identical(self, kind, workers):
+    @pytest.mark.parametrize("kind", ["gaussian", "ising", "ising-particles"])
+    def test_run_is_byte_identical(self, kind, workers, monkeypatch):
         if kind == "gaussian":
             fam, part = gaussian_mixture_target(5)
             ref_fam = dataclasses.replace(fam, log_q=reference_gaussian_log_q(5))
             ref_classify = reference_half_space_classify
         else:
+            if kind == "ising-particles":  # 6000 spin rows, not 16 levels
+                monkeypatch.setattr(modesmc.engine, "COUNT_PATH_MAX_STATES", 0)
             fam, part = ising_target(15, 1.0)
             ref_fam = dataclasses.replace(fam, log_q=reference_ising_log_q(15, 1.0))
             ref_classify = reference_spin_sign_classify

@@ -42,6 +42,11 @@ CASES = {
     "smc-ising-threads": (
         "run-smc", ["--threads", "2"], {"problem": _ISING, "algorithm": _SMC},
     ),
+    "smc-ising-unrestricted": (
+        "run-smc", [],
+        {"problem": _ISING,
+         "algorithm": {**_SMC, "restricted": False, "replicates": 2}},
+    ),
     "pt-four-state": ("run-pt", [], {"problem": _FOUR, "algorithm": _PT}),
     "pt-ising": ("run-pt", [], {"problem": _ISING, "algorithm": _PT}),
     "st-four-state": ("run-st", [], {"problem": _FOUR, "algorithm": _ST}),
@@ -67,9 +72,17 @@ DIGESTS = {
     },
     'smc-ising-threads': {
         'diagnostics.csv':
-            '82d2d9d00dd5320b699ea122bd75f35c92bbafd68bb27db241f79fb14fc825b9',
+            'de259cf7fe5fa93042356e4bce7da295e3744ad715b5bb446b3df6200f0fd83d',
         'summary.yaml':
-            '3370210a85f17bc4bee5c5838ebece5196159f2ce02990688acef72e51b7327d',
+            '2e66cc7a0d3f9c006e5ef95930e328a55a86fae43d75dfaade7c74cfc3618ed9',
+    },
+    'smc-ising-unrestricted': {
+        'replicate_000/diagnostics.csv':
+            '52d9386c9f30ccfd9fe8f1b3d1ba84af8c09aa8530d37291e1c95a9c64403c7b',
+        'replicate_001/diagnostics.csv':
+            '95d957d6e006e86a8df3429af53794ee44c8963654dab10c046cdb99fd4f0082',
+        'summary.yaml':
+            'f7862fca5b3d3845f8eb2f002399f3912617048a651be3f040e2666202df0203',
     },
     'pt-four-state': {
         'summary.yaml':
@@ -85,7 +98,7 @@ DIGESTS = {
     },
     'st-ising': {
         'summary.yaml':
-            'cc691217534c57c0253881c5fa08317ff7d951d803c5b2770cdeb16f145b964f',
+            'deca012f54e0807bc1a235c058880268b2934214ae20ba3c88904aa0bc3c7372',
     },
     'bounds-four-state': {
         'bounds.yaml':
