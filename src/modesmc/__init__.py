@@ -29,6 +29,7 @@ from .families import (
 )
 from .kernels import (
     DiscreteNeighborWalk,
+    RadialWalk,
     RandomWalkMetropolis,
     RestrictedKernel,
     SingleSiteFlip,

@@ -40,6 +40,26 @@ stream draws it. Siblings of a resampled parent are independent here, not
 on the particle path: only the joint law of configurations differs, and
 ``estimate`` keeps its mean for any f. ``workers`` has no effect here.
 
+A family with a ``Lumping`` (the Gaussian mixture) runs, when its partition
+declares the same cells on reduced rows (``Partition.reduced``), on the
+particle path over rows (s, r): s = x . u with u = 1_d / sqrt(d), and r =
+|x - s u|. Its q depends on x through (s, r) only, and so do the cells
+(s > 0). The isotropic random walk x + h g moves (s, r) by a law that
+depends on (s, r) only (``kernels.RadialWalk``), and a cross-cell refusal
+is a function of s, so the restricted chain and the unrestricted one lump
+exactly onto (s, r) (Dynkin's criterion; Kemeny and Snell, Finite Markov
+Chains, 6.3). mu_0 has an exact (s, r) sampler, and weights and cells are
+functions of the rows, so the rows have the d-dim particle path's law: log
+z, every diagnostic and the final (s, r). Each step commutes with every
+rotation fixing u, so given its (s, r) a final particle is uniform on the
+sphere {s u + r w : |w| = 1, w . u = 0}; the lift draws w per particle
+from the LEVELS stream of stage V, and the final cells are the lifted
+states' own (they differ from s > 0 only where rounding moves a row sum
+within ~1e-16 r of 0). A ``record_resampled`` trace is lifted in the same
+way from the stage's RESAMPLE stream, after its draw. Siblings are
+independent here as on the levels. Lifted states must have a finite log q,
+as every state on the particle path does.
+
 Output is a pure function of (config, seed): all randomness comes from
 counter-based per-(stage, phase) Philox streams, and mutation noise comes
 from one SFC64 generator per fixed block of particles, keyed from the
@@ -54,7 +74,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import rng as rngmod
 from .families import QUIET_LOG_Q, AnnealedFamily, InvalidStateError, Partition
@@ -75,7 +95,9 @@ class WeightCollapseError(RuntimeError):
 @dataclass(frozen=True)
 class RunConfig:
     """One run's inputs. A mean-field-ising family runs on its levels, so
-    its partition must be a function of the spin sum (module docstring)."""
+    its partition must be a function of the spin sum; a family with a
+    lumping runs on its (s, r) rows where the partition has a reduced form
+    (module docstring)."""
 
     family: AnnealedFamily
     partition: Partition
@@ -125,6 +147,31 @@ def _histogram(labels, counts, size):
     return np.bincount(labels, weights=counts, minlength=size).astype(np.int64)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """``scipy.special.logsumexp(a)`` of a nonempty float vector, bit for bit.
+
+    scipy 1.17's algorithm without its array-API dispatch, which cost ~120
+    us a call against ~7 us for this: the max, the count m of entries
+    equal to it, s = sum of exp(a - max) over the rest (those m entries
+    set to -inf, so the pairwise sum adds the same terms in the same
+    order), divided by m where s != 0, then log1p(s) + log(m) + max. A
+    result that is not finite (all -inf, say) is log(sum(exp(a))), as in
+    scipy.
+    """
+    top = a.max()
+    at_top = a == top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+        m = float(np.count_nonzero(at_top))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out):
+            with np.errstate(over="ignore"):
+                out = np.log(np.exp(a).sum())
+    return out
+
+
 def _resample(stage, n, log_mass, states, cells, counts, gen, p):
     """Stage diagnostics and the multinomial resampling draw of a population.
 
@@ -134,14 +181,14 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
     stage's diagnostics; all-zero weights raise WeightCollapseError, and a
     cell weight sum past float range raises InvalidStateError.
     """
-    log_total = logsumexp(log_mass)
+    log_total = _logsumexp(log_mass)
     if not np.isfinite(log_total):
         raise WeightCollapseError(stage)
     log_cell = np.full(p, -np.inf)
     for j in range(p):
         mask = cells == j
         if mask.any():
-            log_cell[j] = logsumexp(log_mass[mask])
+            log_cell[j] = _logsumexp(log_mass[mask])
     with np.errstate(over="ignore"):
         w_hat = np.exp(log_cell - np.log(n))
     if not np.all(np.isfinite(w_hat)):  # log z stays finite; w_hat cannot
@@ -180,9 +227,21 @@ def _initial_counts(family):
     return levels, log_comb + family.betas[0] * lq
 
 
+def _lift(config, rows, gen):
+    """d-dim states of a lumped run's (s, r) rows, whose log q must be
+    finite as every state the particle path holds is."""
+    states = config.family.lumping.lift(rows, gen)
+    with np.errstate(**QUIET_LOG_Q):
+        finite_log_q(config.family.log_q(states))
+    return states
+
+
 def run(config: RunConfig) -> RunReport:
     """Execute a full run; deterministic given the config (incl. seed)."""
     family, partition, n = config.family, config.partition, config.n_particles
+    lumping = family.lumping if partition.reduced is not None else None
+    if lumping is not None:  # run on (s, r) rows (module docstring)
+        family, partition = lumping.family, partition.reduced
     restrict = partition if config.restricted else None
     gen = rngmod.stream(config.seed, 0, rngmod.INIT)
     start = _initial_counts(family)
@@ -201,16 +260,18 @@ def run(config: RunConfig) -> RunReport:
         if counts is not None:
             with np.errstate(divide="ignore"):
                 log_mass += np.log(counts)  # -inf on empty states
+        gen = rngmod.stream(config.seed, v, rngmod.RESAMPLE)
         states, cells, counts, diag = _resample(
-            v, n, log_mass, states, cells, counts,
-            rngmod.stream(config.seed, v, rngmod.RESAMPLE), partition.n_cells,
+            v, n, log_mass, states, cells, counts, gen, partition.n_cells
         )
         diagnostics.append(diag)
-        if config.record_resampled:  # a histogram over states or levels
+        if config.record_resampled:  # a histogram over states or levels, or rows
             if counts is not None:
                 trace.append(counts.copy())
             elif family.kind == "index":
                 trace.append(_histogram(states, None, family.index_log_mass.size))
+            elif lumping is not None:  # d-dim rows, lifted after the draw
+                trace.append(_lift(config, states, gen))
             else:
                 trace.append(states.copy())
         kernel = stage_kernel(family, v, step_size=config.step_size)
@@ -228,11 +289,15 @@ def run(config: RunConfig) -> RunReport:
                 counts, config.mutation_steps, gen, partition=restrict
             )
         seconds.append(time.perf_counter() - tic)
+    levels = (config.seed, family.n_stages, rngmod.LEVELS)
     if counts is not None:  # one row per particle, as callers index them
         states, cells = np.repeat(states, counts, axis=0), np.repeat(cells, counts)
         if states.ndim == 2:  # spin levels: a uniform configuration of each
-            gen = rngmod.stream(config.seed, family.n_stages, rngmod.LEVELS)
-            gen.permuted(states, axis=1, out=states)
+            rngmod.stream(*levels).permuted(states, axis=1, out=states)
+    elif lumping is not None:  # (s, r) rows: a uniform state of each
+        states = _lift(config, states, rngmod.stream(*levels))
+        with np.errstate(**QUIET_LOG_Q):
+            cells = config.partition.classify(states)
     return RunReport(
         seed=config.seed,
         final_states=states,

@@ -13,6 +13,7 @@ temperature ``betas[0]`` to the target at ``betas[-1] == 1`` via
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -118,10 +119,32 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Partition:
-    """Total deterministic classifier of states into cells 0..n_cells-1."""
+    """Total deterministic classifier of states into cells 0..n_cells-1.
+
+    ``reduced``, where set, is the same cells on the (s, r) rows of a
+    family's ``Lumping``; the engine runs a lumped family there.
+    """
 
     n_cells: int
     classify: Callable[[np.ndarray], np.ndarray]
+    reduced: Optional[Partition] = None
+
+
+@dataclass(frozen=True)
+class Lumping:
+    """A family on (s, r) rows onto which a family's random walk, restricted
+    or not, lumps exactly.
+
+    ``family`` is the reduced family: its rows are (s, r) = (x . 1_d /
+    sqrt(d), |x - s 1_d / sqrt(d)|), its log q at (s, r) is the full
+    family's at any x with those coordinates, and its kind "radial" runs
+    ``kernels.RadialWalk``. ``lift(rows, rng)`` draws one d-dim state per
+    row, uniform on the set of x with that (s, r). It describes the full
+    family's ``log_q``, so a copy with another ``log_q`` must drop it.
+    """
+
+    family: AnnealedFamily
+    lift: Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -139,7 +162,8 @@ class AnnealedFamily:
     dimension : int
         State dimension d (1 for enumerated index spaces).
     kind : str
-        "real" | "spin" | "index"; decides kernel and engine dispatch.
+        "real" | "spin" | "index" | "radial" (the (s, r) rows of a
+        ``Lumping``); decides kernel and engine dispatch.
     sample_initial : callable
         (n, rng) -> exact i.i.d. batch from mu_0.
     sample_stage : callable, optional
@@ -148,6 +172,8 @@ class AnnealedFamily:
         For index families, the base log masses over the enumerated states.
     sigma : float
         Scale hint for random-walk proposal sizing.
+    lumping : Lumping, optional
+        A reduced family the engine may run in place of this one.
     """
 
     log_q: Callable[[np.ndarray], np.ndarray]
@@ -160,6 +186,7 @@ class AnnealedFamily:
     index_log_mass: Optional[np.ndarray] = None
     sigma: float = 1.0
     params: dict = field(default_factory=dict)
+    lumping: Optional[Lumping] = None
 
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
@@ -172,9 +199,9 @@ class AnnealedFamily:
             raise ValueError(f"final beta must be exactly 1, got {betas[-1]}")
         if betas[0] < 0.0:
             raise ValueError(f"beta_0 must be nonnegative, got {betas[0]}")
-        if betas[0] == 0.0 and self.kind == "real":
+        if betas[0] == 0.0 and self.kind in ("real", "radial"):
             raise ValueError("beta_0 = 0 is improper on unbounded spaces")
-        if self.kind not in ("real", "spin", "index"):
+        if self.kind not in ("real", "spin", "index", "radial"):
             raise ValueError(f"unknown state kind {self.kind!r}")
 
     @property
@@ -218,13 +245,19 @@ def linear_schedule(d: int) -> tuple:
 
 
 def half_space_partition() -> Partition:
-    """Two cells split by the hyperplane sum(x) = 0; ties go to cell 1."""
+    """Two cells split by the hyperplane sum(x) = 0; ties go to cell 1.
+
+    On (s, r) rows (``Lumping``) the same cells are s > 0 and s <= 0.
+    """
 
     def classify(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.where(_row_sum(x) > 0.0, 0, 1)
 
-    return Partition(n_cells=2, classify=classify)
+    def classify_reduced(z):
+        return np.where(np.atleast_2d(z)[:, 0] > 0.0, 0, 1)
+
+    return Partition(2, classify, reduced=Partition(2, classify_reduced))
 
 
 def spin_sign_partition() -> Partition:
@@ -260,14 +293,20 @@ def gaussian_mixture_target(
     one-dimensional projection onto 1_d, which is how both mu_0 and the
     per-stage samplers are implemented.
 
-    The schedule defaults to the multiplicative ladder (d >= 2); pass an
-    explicit betas tuple to override it (required for d = 1).
+    The family carries a ``Lumping`` onto (s, r) rows, and the partition
+    the same cells on them, so the engine runs it there (``engine``
+    docstring). The schedule defaults to the multiplicative ladder
+    (d >= 2); pass an explicit betas tuple to override it (required for
+    d = 1).
     """
     if not 0.0 < w < 1.0:
         raise ValueError(f"mixture weight must be in (0,1), got {w}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    two_s2 = 2.0 * sigma * sigma  # a float product, which overflows to inf
+    if not (sigma > 0.0 and 1.0 / sys.float_info.max < two_s2 < math.inf):
+        raise ValueError(f"sigma must be positive with 1/(2 sigma**2) finite: {sigma}")
     d = int(d)
+    if not math.isfinite(nu * math.sqrt(d)):  # the centres' distance from 0
+        raise ValueError(f"nu sqrt(d) must be finite, got nu = {nu}")
     betas = geometric_schedule(d) if betas is None else tuple(betas)
     center = nu * np.ones(d)
     inv2s2 = 1.0 / (2.0 * sigma**2)
@@ -288,7 +327,9 @@ def gaussian_mixture_target(
     u = np.ones(d) / math.sqrt(d)
     m = nu * math.sqrt(d)
 
-    def sample_stage(v, n, rng):
+    def projection(v, n, rng):
+        """s = x . u of n exact mu_v draws before their mirror, the mirror
+        mask and the stage's scale."""
         beta = betas[v]
         sd = sigma / math.sqrt(beta)
         # tempered component masses differ only through w**beta vs (1-w)**beta
@@ -296,11 +337,49 @@ def gaussian_mixture_target(
         mirror = rng.random(n) >= p_h
         us = rng.random(n)
         s = _truncated_normal_ppf(us, (0.0 - m) / sd) * sd + m
+        return s, mirror, sd
+
+    def sample_stage(v, n, rng):
+        s, mirror, sd = projection(v, n, rng)
         g = rng.standard_normal((n, d)) * sd
         x = s[:, None] * u + (g - np.outer(g @ u, u))
         x[mirror] = -x[mirror]
         return x
 
+    def log_q_rows(z):
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        s, r = z[:, 0], z[:, 1]
+        a = np.abs(s) - m  # (s -+ m)^2 is (|s| - m)^2 on either side
+        f = (a * a + r * r) * inv2s2
+        return np.where(s > 0.0, logw1, logw2) - f
+
+    def sample_rows(v, n, rng):
+        # the part of x orthogonal to u is N(0, sd^2) on d - 1 coordinates
+        s, mirror, sd = projection(v, n, rng)
+        s[mirror] = -s[mirror]
+        r = sd * np.sqrt(rng.chisquare(d - 1, n)) if d > 1 else np.zeros(n)
+        return np.column_stack([s, r])
+
+    def lift(z, rng):
+        x = z[:, :1] * u
+        if d > 1:  # r times a uniform unit vector orthogonal to u
+            g = rng.standard_normal((z.shape[0], d))
+            for _ in range(2):  # the second pass removes the first's rounding
+                g -= g.mean(axis=1, keepdims=True)
+            g *= (z[:, 1] / np.linalg.norm(g, axis=1))[:, None]
+            x += g
+        return x
+
+    reduced = AnnealedFamily(
+        log_q=log_q_rows,
+        betas=betas,
+        dimension=d,
+        kind="radial",
+        sample_initial=lambda n, rng: sample_rows(0, n, rng),
+        sample_stage=sample_rows,
+        name="gaussian-mixture-rows",
+        sigma=sigma,
+    )
     family = AnnealedFamily(
         log_q=log_q,
         betas=betas,
@@ -311,6 +390,7 @@ def gaussian_mixture_target(
         name="gaussian-mixture",
         sigma=sigma,
         params={"d": d, "w": w, "sigma": sigma, "nu": nu},
+        lumping=Lumping(reduced, lift),
     )
     return family, half_space_partition()
 

@@ -1,10 +1,14 @@
 """Stage-invariant Markov kernels, cell restriction, and spectral tooling.
 
 Each kernel targets one annealed stage (its log density already includes
-beta_v). The three particle kernels share one Metropolis driver and
-supply only a state dtype, a move block and a proposal. A proposal that
-would leave the state space (the neighbour walk's moves off either end of
-its path) returns the current state, so accepting it is a stay.
+beta_v). The four particle kernels share one Metropolis driver and
+supply only a state dtype, a move buffer, a fill of it and a proposal. A
+proposal that would leave the state space (the neighbour walk's moves off
+either end of its path) returns the current state, so accepting it is a
+stay. ``RadialWalk`` is ``RandomWalkMetropolis`` on the Gaussian mixture's
+(s, r) rows (``engine`` docstring): with the same step size h it draws two
+normals and one Gamma variate a particle and step whatever d is, where the
+d-dim walk draws d normals and evaluates log q and the cells on d columns.
 
 The driver's stream layout: particles fall into fixed blocks of
 ``_BLOCK`` = 1024 rows, block b being rows [1024 b, min(N, 1024 (b + 1))).
@@ -22,16 +26,18 @@ speed matters. On a 1024 x 5 block (numpy 2.4, 2-core VM)
 ``standard_normal`` took 45.8 us on Philox, 37.3 us on PCG64 and 33.3 us
 on SFC64, and 1024 uniforms 3.1, 1.8 and 1.9 us; a vectorised Box-Muller
 was slower than the ziggurat on both Philox and SFC64 (96 and 86 us).
-A call holds the N states with their log densities, one step's N
-proposals and moves, and each worker's block-sized draws:
-O(N + workers 1024) rows of d numbers whatever t is, where pre-drawing
-every step took O(t N) rows. Workers take contiguous ranges of blocks and
-draw their noise in parallel (numpy's fills release the GIL). Blocks of
-4096 rows ran as fast at one worker, but split N = 5000 as 4096 + 904
-rows, so two workers gained less: one d = 5 Gaussian run with t = 100 and
-9 stages took 0.32-0.41 s at two workers with 1024-row blocks, 0.38-0.47 s
-with 4096-row blocks, and 0.41-0.47 s with the whole stage's noise
-pre-drawn (medians of 11 runs, Philox blocks, 2-core VM).
+Moves, uniforms and proposals are filled in place into step buffers
+(``standard_normal(out=...)`` draws the same numbers as an allocating
+call), and accepted proposals are copied into the state rows with
+``np.copyto(..., where=)``. A call holds the N states with their log
+densities and one step's moves, uniforms and proposals: O(N) rows whatever
+t is, where pre-drawing every step took O(t N) rows. Workers take
+contiguous ranges of blocks and draw their noise in parallel (numpy's
+fills release the GIL). That gains nothing on the Gaussian mixture's
+(s, r) rows, whose steps are a few short numpy calls a block: on the d = 5
+benchmark run (N = 5000, t = 100, 9 stages) one and two workers took a
+median 0.548 and 0.627 s, and 0.495 and 0.557 s, over two sets of 11
+alternating in-process pairs (2-core VM).
 
 Restriction follows the refuse-leaving-moves construction: a full base
 step is simulated and the result is discarded (the particle stays put)
@@ -121,23 +127,34 @@ class _Metropolis:
     """The Metropolis driver shared by the particle kernels.
 
     A kernel supplies ``dtype`` (of its state array, None to keep the
-    input's), ``log_density(x)``, ``draw_moves(rng, t, n)`` returning a
-    block indexed ``[step, particle]`` and ``propose(x, move)``; the driver
-    owns the stream layout, the accept/refuse loop and the cell check.
+    input's), ``log_density(x)``, ``new_moves(n)`` (an empty move buffer
+    for n particles), ``fill_moves(rng, moves, rows)`` (draws the moves of
+    the particles ``rows`` into the buffer, in place) and ``propose(x,
+    moves, out)``; the driver owns the stream layout, the step buffers, the
+    accept/refuse loop and the cell check.
 
     ``mutate`` draws one key per 1024-row block from ``rng``, seeds an
-    SFC64 generator per block with it, then at each step draws per block,
-    from that block's generator,
-    ``draw_moves(gen, 1, rows)`` and then ``rows`` acceptance uniforms, and
-    runs the step once over each worker's contiguous range of blocks. Its
-    memory is O(N + workers 1024) rows whatever t is (module docstring).
-    A proposal whose log density is not finite raises InvalidStateError.
+    SFC64 generator per block with it, then at each step fills per block,
+    from that block's generator, the block's moves and then its ``rows``
+    acceptance uniforms, and runs the step once over each worker's
+    contiguous range of blocks, accepting by ``np.copyto(..., where=)``
+    into the state rows. Its memory is O(N) rows whatever t is (module
+    docstring). A proposal whose log density is not finite raises
+    InvalidStateError.
     """
 
     dtype = None
+    order = "K"  # memory layout of the state copy a call works on
+
+    def draw_moves(self, rng, t, n):
+        """t steps of moves for n particles, indexed ``[step, particle]``
+        (the tempering loops' moves)."""
+        moves = self.new_moves(t * n)
+        self.fill_moves(rng, moves, slice(None))
+        return moves.reshape(t, n, *moves.shape[1:])
 
     def mutate(self, states, t, rng, cells=None, partition=None, workers=1):
-        x = np.array(states, dtype=self.dtype, copy=True)
+        x = np.array(states, dtype=self.dtype, order=self.order)
         if t == 0:
             return x
         n = x.shape[0]
@@ -148,29 +165,28 @@ class _Metropolis:
 
         def task(blocks):
             sl = slice(blocks.start * _BLOCK, min(n, blocks.stop * _BLOCK))
-            xs, lp = x[sl], logp[sl]
+            xs, lp = x[sl], logp[sl]  # views: accepted moves land in x
             cs = cells[sl] if cells is not None else None
             gens = [np.random.Generator(np.random.SFC64(keys[b])) for b in blocks]
             m = sl.stop - sl.start
             rows = [slice(a, min(a + _BLOCK, m)) for a in range(0, m, _BLOCK)]
-            moves, logu = None, np.empty(m)  # one step's noise, reused
+            # one step's noise, proposals and log ratios, reused every step
+            moves, logu, y = self.new_moves(m), np.empty(m), np.empty_like(xs)
+            ratio = np.empty(m)
             # a worker thread does not inherit the caller's numpy error state
             with np.errstate(**QUIET_LOG_Q):
                 for _ in range(t):
-                    parts = []
                     for gen, r in zip(gens, rows):
-                        parts.append(self.draw_moves(gen, 1, r.stop - r.start)[0])
+                        self.fill_moves(gen, moves, r)
                         gen.random(out=logu[r])
-                    moves = np.concatenate(parts, out=moves)
                     np.log(logu, out=logu)
-                    y = self.propose(xs, moves)
+                    self.propose(xs, moves, out=y)
                     lpy = finite_log_q(self.log_density(y))
-                    acc = logu < (lpy - lp)
+                    acc = logu < np.subtract(lpy, lp, out=ratio)
                     if partition is not None:
                         acc &= partition.classify(y) == cs
-                    xs[acc] = y[acc]
-                    lp[acc] = lpy[acc]
-            x[sl], logp[sl] = xs, lp
+                    np.copyto(xs, y, where=acc.reshape((-1,) + (1,) * (y.ndim - 1)))
+                    np.copyto(lp, lpy, where=acc)
 
         _run_chunked(task, n_blocks, workers)
         return x
@@ -195,11 +211,65 @@ class RandomWalkMetropolis(_Metropolis):
         self.proposal_std = float(proposal_std)
         self.dim = int(dim)
 
-    def draw_moves(self, rng, t, n):
-        return self.proposal_std * rng.standard_normal((t, n, self.dim))
+    def new_moves(self, n):
+        return np.empty((n, self.dim))
 
-    def propose(self, x, move):
-        return x + move
+    def fill_moves(self, rng, moves, rows):
+        block = moves[rows]
+        rng.standard_normal(out=block)
+        block *= self.proposal_std
+
+    def propose(self, x, move, out=None):
+        return np.add(x, move, out=out)
+
+
+class RadialWalk(RandomWalkMetropolis):
+    """``RandomWalkMetropolis`` on R^d, run on the (s, r) rows it lumps onto.
+
+    A row (s, r) stands for every x with x . 1_d / sqrt(d) = s and
+    |x - s 1_d / sqrt(d)| = r (``families.Lumping``). The walk x + h g,
+    g ~ N(0, I_d), moves s to s + h g_1 and the part of x orthogonal to
+    1_d, of length r, to one of length sqrt((r + h g_2)^2 + h^2 chi2_{d-2})
+    by rotation invariance: g_2 is g's part along that orthogonal part, and
+    chi2_{d-2} (2 Gamma((d - 2)/2)) the squared length of the rest. r is 0
+    at d = 1 and |r + h g_2| at d = 2. Its moves are a (3, n) array of
+    g_1, g_2 and the Gamma draw, O(1) numbers a particle whatever d is.
+    """
+
+    order = "F"  # contiguous s and r columns
+
+    def draw_moves(self, rng, t, n):
+        raise NotImplementedError("the tempering loops run the d-dim walk")
+
+    def new_moves(self, n):
+        return np.empty((3, n))  # g_1, g_2 and the Gamma draw
+
+    def fill_moves(self, rng, moves, rows):
+        rng.standard_normal(out=moves[0, rows])
+        rng.standard_normal(out=moves[1, rows])
+        if self.dim > 2:
+            rng.standard_gamma((self.dim - 2) / 2.0, out=moves[2, rows])
+
+    def propose(self, x, moves, out=None):
+        h = self.proposal_std
+        out = np.empty_like(x) if out is None else out
+        s, r = out[:, 0], out[:, 1]
+        np.multiply(moves[0], h, out=s)
+        s += x[:, 0]
+        if self.dim == 1:
+            r[:] = 0.0
+            return out
+        np.multiply(moves[1], h, out=r)
+        r += x[:, 1]
+        if self.dim == 2:
+            np.abs(r, out=r)
+        else:
+            np.square(r, out=r)
+            chi2 = moves[2]
+            chi2 *= 2.0 * h * h
+            r += chi2
+            np.sqrt(r, out=r)
+        return out
 
 
 class SingleSiteFlip(_Metropolis):
@@ -209,13 +279,18 @@ class SingleSiteFlip(_Metropolis):
         self.log_density = log_density
         self.dim = int(dim)
 
-    def draw_moves(self, rng, t, n):
-        return rng.integers(0, self.dim, size=(t, n))
+    def new_moves(self, n):
+        return np.empty(n, dtype=np.int64)
 
-    def propose(self, x, move):
-        y = x.copy()
-        y[np.arange(x.shape[0]), move] *= -1
-        return y
+    def fill_moves(self, rng, moves, rows):
+        block = moves[rows]
+        block[...] = rng.integers(0, self.dim, size=block.shape)
+
+    def propose(self, x, move, out=None):
+        out = np.empty_like(x) if out is None else out
+        np.copyto(out, x)
+        out[np.arange(x.shape[0]), move] *= -1
+        return out
 
     def mutate_counts(self, counts, t, rng, partition=None):
         """Advance counts over the levels k = 0..d (number of +1 spins) t
@@ -250,12 +325,19 @@ class DiscreteNeighborWalk(_Metropolis):
     def log_density(self, x):
         return self.log_mass[x]
 
-    def draw_moves(self, rng, t, n):
-        return rng.integers(0, 2, size=(t, n)) * 2 - 1
+    def new_moves(self, n):
+        return np.empty(n, dtype=np.int64)
 
-    def propose(self, x, move):
-        y = x + move
-        return np.where((y >= 0) & (y < self.n_states), y, x)
+    def fill_moves(self, rng, moves, rows):
+        block = moves[rows]
+        block[...] = rng.integers(0, 2, size=block.shape)
+        block *= 2
+        block -= 1
+
+    def propose(self, x, move, out=None):
+        out = np.add(x, move, out=out)
+        np.copyto(out, x, where=(out < 0) | (out >= self.n_states))
+        return out
 
     def band(self, partition=None):
         """Per-state move probabilities ``(down, up)`` to i-1 and i+1: a
@@ -297,15 +379,14 @@ def stage_kernel(family: AnnealedFamily, v: int, step_size: Optional[float] = No
     if not 0 <= v <= family.n_stages:
         raise ValueError(f"stage v must be in 0..{family.n_stages}")
     beta = family.betas[v]
-    if family.kind == "real":
+    if family.kind in ("real", "radial"):  # one step size h for both
         std = (
             float(step_size)
             if step_size is not None
             else math.sqrt(default_step_variance(family.sigma, beta, family.dimension))
         )
-        return RandomWalkMetropolis(
-            lambda x: beta * family.log_q(x), std, family.dimension
-        )
+        walk = RandomWalkMetropolis if family.kind == "real" else RadialWalk
+        return walk(lambda x: beta * family.log_q(x), std, family.dimension)
     if family.kind == "spin":
         return SingleSiteFlip(lambda x: beta * family.log_q(x), family.dimension)
     if family.kind == "index":

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare, ks_2samp, kstest, norm
 
-from conftest import assert_same_run
+from conftest import assert_same_run, same_bits
 from modesmc import (
+    InvalidStateError,
+    Partition,
     RunConfig,
     WeightCollapseError,
     cell_tracking_error,
@@ -586,3 +589,162 @@ class TestSpinLevels:
         for counts in report.resampled_trace:
             assert counts.shape == (8,)
             assert counts.sum() == 1000
+
+
+class TestLogSumExp:
+    """The resampling step's logsumexp against scipy's, bit for bit (all
+    -inf weights still raise WeightCollapseError: TestResample)."""
+
+    @staticmethod
+    def _vectors():
+        gen = np.random.default_rng(71)
+        yield np.array([3.5])
+        yield np.array([-np.inf])
+        yield np.full(7, -np.inf)
+        yield np.array([2.0, 2.0, 2.0])
+        yield np.array([-np.inf, 1.0, -np.inf, 1.0])
+        yield np.array([-745.0, -1e300, 0.0])
+        for _ in range(3000):
+            n = int(gen.integers(1, 40))
+            a = gen.normal(size=n) * 10.0 ** gen.uniform(-3, 3)
+            if gen.random() < 0.3:  # ties at the max and elsewhere
+                a[gen.choice(n, int(gen.integers(1, n + 1)))] = a.max()
+            if gen.random() < 0.3:
+                a[gen.random(n) < 0.3] = -np.inf
+            yield a
+
+    def test_matches_scipy_bit_for_bit(self):
+        from scipy.special import logsumexp
+
+        for a in self._vectors():
+            assert same_bits(modesmc.engine._logsumexp(a), logsumexp(a)), a
+
+
+def _gauss(d, n, t, seed, reduced=True, **kw):
+    """A Gaussian-mixture config; reduced=False gives the partition no
+    reduced form, which keeps the run on d-dim rows."""
+    betas = (0.25, 0.5, 1.0) if d == 1 else None
+    fam, part = gaussian_mixture_target(d, betas=betas)
+    if not reduced:
+        part = Partition(part.n_cells, part.classify)
+    return RunConfig(family=fam, partition=part, n_particles=n, mutation_steps=t,
+                     seed=seed, **kw)
+
+
+class TestGaussianRows:
+    """The Gaussian mixture's engine run on its (s, r) rows."""
+
+    @pytest.mark.parametrize("restricted", [True, False])
+    def test_rows_and_dims_share_law(self, restricted):
+        # two-sample KS tests over 200 seeds on log z and the final fraction
+        # of particles in cell 0, as for the spin levels
+        samples = {}
+        for reduced in (True, False):
+            reports = [
+                run(_gauss(3, 200, 5, rngmod.substream_seed(80, s),
+                           reduced=reduced, restricted=restricted))
+                for s in range(200)
+            ]
+            samples[reduced] = (
+                [r.log_z for r in reports],
+                [float(np.mean(r.final_cells == 0)) for r in reports],
+            )
+        for a, b in zip(samples[True], samples[False]):
+            assert ks_2samp(a, b).pvalue > 0.001
+
+    @pytest.mark.parametrize("reduced,kernel", [(True, "RadialWalk"),
+                                                (False, "RandomWalkMetropolis")])
+    def test_path_follows_the_partition(self, monkeypatch, reduced, kernel):
+        # the engine looks stage_kernel up through its module global
+        seen = []
+
+        def spying_kernel(*args, **kwargs):
+            base = stage_kernel(*args, **kwargs)
+            seen.append(type(base).__name__)
+            return base
+
+        monkeypatch.setattr("modesmc.engine.stage_kernel", spying_kernel)
+        cfg = _gauss(3, 50, 2, 81, reduced=reduced)
+        report = run(cfg)
+        assert set(seen) == {kernel} and len(seen) == cfg.family.n_stages
+        assert report.final_states.shape == (50, 3)
+
+    def test_copied_callables_keep_the_rows(self):
+        # wrapped copies of log_q and classify, made by dataclasses.replace
+        # as a tracer makes them, run the same (s, r) rows to the same bytes
+        cfg = _gauss(5, 500, 10, 82)
+        fam = dataclasses.replace(cfg.family, log_q=lambda x: cfg.family.log_q(x))
+        part = dataclasses.replace(cfg.partition,
+                                   classify=lambda x: cfg.partition.classify(x))
+        copied = dataclasses.replace(cfg, family=fam, partition=part)
+        assert_same_run(run(cfg), run(copied))
+
+    @pytest.mark.parametrize("restricted", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 40])
+    def test_final_cells_classify_final_states(self, d, restricted):
+        # d = 1 has no r and d = 2 no chi-square part; pytest turns a numpy
+        # warning into an error
+        cfg = _gauss(d, 300, 4, 83 + d, restricted=restricted)
+        report = run(cfg)
+        cells = cfg.partition.classify(report.final_states)
+        assert report.final_states.shape == (300, d)
+        assert report.final_cells.dtype == cells.dtype
+        assert np.array_equal(report.final_cells, cells)
+        assert np.isfinite(report.log_z)
+
+    def test_lifted_trace_holds_resampled_occupancy(self):
+        cfg = _gauss(4, 400, 3, 85, record_resampled=True)
+        report = run(cfg)
+        assert len(report.resampled_trace) == cfg.family.n_stages
+        for states, diag in zip(report.resampled_trace, report.diagnostics):
+            assert states.shape == (400, 4)
+            occupancy = np.bincount(cfg.partition.classify(states), minlength=2)
+            assert np.array_equal(occupancy, diag.occupancy_after)
+        # the trace draws from the stage's resampling stream after its draw
+        plain = run(dataclasses.replace(cfg, record_resampled=False))
+        assert_same_run(report, plain)
+
+
+# float extremes for the library fuzz: subnormals, huge values and ordinary ones
+_EXTREME = st.sampled_from([5e-324, 1e-300, 1e-160, 1e-8, 1e150, 1e300, 1.7e308])
+_POSITIVE = _EXTREME | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _library_runs(draw):
+    d = draw(st.integers(1, 60))
+    target = {
+        "w": draw(st.sampled_from([5e-324, 1e-300, 0.5, 1.0 - 2**-53])
+                  | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        "sigma": draw(_POSITIVE),
+        "nu": draw(_POSITIVE | st.just(0.0)) * draw(st.sampled_from([1.0, -1.0])),
+        "betas": (0.5, 1.0) if d == 1 else None,
+    }
+    run_args = {
+        "n_particles": draw(st.integers(1, 40)),
+        "mutation_steps": draw(st.integers(0, 3)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "step_size": draw(st.none() | _POSITIVE),
+        "restricted": draw(st.booleans()),
+        "workers": draw(st.sampled_from([1, 2])),
+    }
+    return d, target, run_args, draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_library_runs())
+def test_library_run_fuzz(case):
+    # a run of the library API, on (s, r) rows or on d-dim rows, returns a
+    # finite report or raises one of the engine's errors, with no numpy
+    # warning (an error under pytest)
+    d, target, run_args, reduced = case
+    try:
+        fam, part = gaussian_mixture_target(d, **target)
+        if not reduced:  # the d-dim path
+            part = Partition(part.n_cells, part.classify)
+        report = run(RunConfig(family=fam, partition=part, **run_args))
+    except (InvalidStateError, WeightCollapseError, ValueError):
+        return
+    assert np.isfinite(report.log_z)
+    assert np.all(np.isfinite(report.final_states))
+    assert np.array_equal(report.final_cells, part.classify(report.final_states))

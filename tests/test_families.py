@@ -543,3 +543,59 @@ class TestRunsMatchReferenceClosures:
         )
         with pytest.raises(AssertionError):
             assert_same_run(a, b)
+
+
+class TestGaussianRows:
+    """The mixture's lumping onto (s, r) rows and the lift back to R^d."""
+
+    @staticmethod
+    def _coords(x, d):
+        u = np.ones(d) / math.sqrt(d)
+        s = x @ u
+        return s, np.linalg.norm(x - s[:, None] * u, axis=1)
+
+    @pytest.mark.parametrize("d", [2, 5, 50])
+    def test_lifted_rows_follow_the_stage_law(self, d):
+        # lift(exact rows) against exact d-dim draws, by KS on one coordinate
+        # and on a fixed direction, p > 0.001 each
+        from scipy.stats import ks_2samp
+
+        fam, _ = gaussian_mixture_target(d)
+        rows, v = fam.lumping.family, len(fam.betas) // 2
+        gen = rngmod.stream(50 + d, 0, rngmod.REPLICATE)
+        lifted = fam.lumping.lift(rows.sample_stage(v, 20_000, gen), gen)
+        exact = fam.sample_stage(v, 20_000, gen)
+        direction = np.cos(np.arange(d) + 1.0)
+        for f in (lambda x: x[:, 0], lambda x: x @ direction):
+            assert ks_2samp(f(lifted), f(exact)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 50])
+    def test_lift_keeps_coordinates_and_density(self, d):
+        fam, part = gaussian_mixture_target(d, w=0.3, sigma=1.5, nu=0.7,
+                                            betas=(0.5, 1.0))
+        rows = fam.lumping.family
+        gen = rngmod.stream(60 + d, 0, rngmod.REPLICATE)
+        z = rows.sample_stage(1, 1_000, gen)
+        x = fam.lumping.lift(z, gen)
+        s, r = self._coords(x, d)
+        assert np.allclose(s, z[:, 0], atol=1e-12)
+        assert np.allclose(r, z[:, 1], atol=1e-12)
+        assert np.allclose(fam.log_q(x), rows.log_q(z), rtol=1e-12, atol=1e-12)
+        assert np.array_equal(part.classify(x), part.reduced.classify(z))
+
+    @pytest.mark.parametrize("d", [2, 5, 50])
+    def test_lift_keeps_cells_near_the_boundary(self, d):
+        # |s| = 1e-12 beside r = 10: the lifted row sum keeps the sign of s
+        fam, part = gaussian_mixture_target(d)
+        z = np.column_stack([np.tile([1e-12, -1e-12], 500), np.full(1_000, 10.0)])
+        x = fam.lumping.lift(z, rngmod.stream(70 + d, 0, rngmod.REPLICATE))
+        assert np.array_equal(part.classify(x), part.reduced.classify(z))
+        assert np.array_equal(part.reduced.classify(z), np.tile([0, 1], 500))
+
+    @pytest.mark.parametrize("bad", [{"sigma": -1.0}, {"sigma": 1e-160},
+                                     {"sigma": 1.3e154}, {"nu": 1.2e308}])
+    def test_rejects_scales_past_float_range(self, bad):
+        # 1/(2 sigma**2) or nu sqrt(d) past float range; sigma**2 itself
+        # raised OverflowError at 1.3e154
+        with pytest.raises(ValueError):
+            gaussian_mixture_target(3, **bad)

@@ -7,6 +7,7 @@ from scipy import stats
 
 from modesmc import (
     DiscreteNeighborWalk,
+    RadialWalk,
     RandomWalkMetropolis,
     RestrictedKernel,
     SingleSiteFlip,
@@ -560,3 +561,41 @@ class TestMetropolisDriver:
         for a in range(0, n, _BLOCK_ROWS):
             block = z[a:a + _BLOCK_ROWS]
             assert abs(block.mean()) < 5 / math.sqrt(block.size)
+
+
+class TestRadialWalk:
+    """The random walk on the Gaussian mixture's (s, r) rows."""
+
+    @pytest.mark.parametrize("d", [2, 5, 50])
+    def test_restricted_steps_keep_the_stage_law(self, d):
+        # exact mu_v rows stay mu_v rows under restricted steps: two-sample
+        # KS tests on s and on r against fresh exact rows, p > 0.001 each
+        fam, part = gaussian_mixture_target(d)
+        rows, reduced = fam.lumping.family, part.reduced
+        v = len(fam.betas) // 2
+        kernel = stage_kernel(rows, v)
+        assert isinstance(kernel, RadialWalk)
+        start = rows.sample_stage(v, 20_000, _stream(90 + d))
+        out = kernel.mutate(start, 20, _stream(91), cells=reduced.classify(start),
+                            partition=reduced)
+        fresh = rows.sample_stage(v, 20_000, _stream(92 + d))
+        assert np.array_equal(reduced.classify(out), reduced.classify(start))
+        for col in (0, 1):
+            assert stats.ks_2samp(out[:, col], fresh[:, col]).pvalue > 1e-3
+        assert np.mean(out[:, 0] != start[:, 0]) > 0.2  # the chain moved
+
+    def test_one_step_matches_the_d_dim_walk(self):
+        # a flat target accepts every move: (s, r) of x + h g from one x,
+        # against the radial step's law from that x's (s, r), by KS
+        d, h, n = 6, 0.8, 20_000
+        x0 = np.linspace(-1.0, 2.0, d)
+        u = np.ones(d) / math.sqrt(d)
+        s0 = x0 @ u
+        z0 = np.array([s0, np.linalg.norm(x0 - s0 * u)])
+        flat = lambda x: np.zeros(np.atleast_2d(x).shape[0])
+        walk = RandomWalkMetropolis(flat, h, d).step(np.tile(x0, (n, 1)), _stream(93))
+        radial = RadialWalk(flat, h, d).step(np.tile(z0, (n, 1)), _stream(94))
+        s = walk @ u
+        r = np.linalg.norm(walk - s[:, None] * u, axis=1)
+        assert stats.ks_2samp(s, radial[:, 0]).pvalue > 1e-3
+        assert stats.ks_2samp(r, radial[:, 1]).pvalue > 1e-3

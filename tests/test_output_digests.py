@@ -39,6 +39,11 @@ CASES = {
     "smc-gauss-replicates": (
         "run-smc", [], {"problem": _GAUSS, "algorithm": {**_SMC, "replicates": 2}},
     ),
+    "smc-gauss-unrestricted": (
+        "run-smc", ["--threads", "2"],
+        {"problem": _GAUSS,
+         "algorithm": {**_SMC, "restricted": False, "replicates": 2}},
+    ),
     "smc-ising-threads": (
         "run-smc", ["--threads", "2"], {"problem": _ISING, "algorithm": _SMC},
     ),
@@ -64,11 +69,19 @@ DIGESTS = {
     },
     'smc-gauss-replicates': {
         'replicate_000/diagnostics.csv':
-            'fa0f14f82d56ef32cd8d0aad3301cd64a379670eac43a2fa74a0ecaba252c210',
+            '3031660015aefa49349c875150049d0e7dbacc8aa046220118d893fab3b286f0',
         'replicate_001/diagnostics.csv':
-            '2d8ee012c2f2e376b4496714152b210be526bc343ff3954443bd163b42aadd91',
+            '217b666c1c8903f28e65f0646339fb6effeabc8414c6da78db4e47a2f1536423',
         'summary.yaml':
-            '2a09e5fb34d110dbcf0cf15acb7fd94c9754be3f2b031a3d746f0897ea301525',
+            '146e8184f0d18a240310bda889d58614dc51e464ea6cec3cf244db99c57e9b3b',
+    },
+    'smc-gauss-unrestricted': {
+        'replicate_000/diagnostics.csv':
+            '72d96ea42f6d0e47cc8b22a15065add655609e6ba9c9fdc8840f33249c339345',
+        'replicate_001/diagnostics.csv':
+            'ae8d124ef04b5f7386515ab50a6b598bed28ae59e465b869b46c1db04e906d67',
+        'summary.yaml':
+            'ae7d3738a4c0b595633905a6a3243b1839b3567fb770cb800b57dd13744b03f2',
     },
     'smc-ising-threads': {
         'diagnostics.csv':
