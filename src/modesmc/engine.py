@@ -15,50 +15,32 @@ and none when it is not.
 
 One loop runs both population representations, a pair (states, counts);
 the family alone picks one. On the particle path ``states`` holds one row
-per particle and ``counts`` is None. On the count path ``states`` holds
-each state once and ``counts`` its particles, for families of at most
-``COUNT_PATH_MAX_STATES`` states: an index family on its states, and the
-family named "mean-field-ising" on its d + 1 magnetisation levels
-(``families.spin_levels``). Given the counts the particles are
+per particle and ``counts`` is None. On the count path, for an index family
+of at most ``COUNT_PATH_MAX_STATES`` states, ``states`` holds each state
+once and ``counts`` its particles. Given the counts the particles are
 exchangeable and every recorded quantity is symmetric in them, so both
 have one law. Only resampling (particle rows, or a multinomial over
 states) and mutation (``mutate``, or ``mutate_counts``: two binomial
 draws per step over all states, O(m) whatever N is) differ. The final
 counts are expanded to N rows, ordered by state.
 
-The levels are exact for a partition that is a function of the spin sum,
-as the sign partition is. Single-site flip moves the level k (number of
-+1 spins) of any configuration up with probability (d - k)/d min(1, e^D)
-and down with k/d min(1, e^-D), refusing cross-cell moves by k alone, so
-the restricted kernel lumps onto k (strong lumpability). mu_0 gives level
-k mass C(d, k) q(k)^beta_0 and weights and cells are functions of k, so
-the level counts have the particle path's law: log z, every diagnostic,
-the final cells and the level histogram. Each step commutes with a common
-permutation of the sites, so given its level a final particle is uniform
-on the level set; one site permutation per particle from the LEVELS
-stream draws it. Siblings of a resampled parent are independent here, not
-on the particle path: only the joint law of configurations differs, and
-``estimate`` keeps its mean for any f. ``workers`` has no effect here.
-
-A family with a ``Lumping`` (the Gaussian mixture) runs, when its partition
-declares the same cells on reduced rows (``Partition.reduced``), on the
-particle path over rows (s, r): s = x . u with u = 1_d / sqrt(d), and r =
-|x - s u|. Its q depends on x through (s, r) only, and so do the cells
-(s > 0). The isotropic random walk x + h g moves (s, r) by a law that
-depends on (s, r) only (``kernels.RadialWalk``), and a cross-cell refusal
-is a function of s, so the restricted chain and the unrestricted one lump
-exactly onto (s, r) (Dynkin's criterion; Kemeny and Snell, Finite Markov
-Chains, 6.3). mu_0 has an exact (s, r) sampler, and weights and cells are
-functions of the rows, so the rows have the d-dim particle path's law: log
-z, every diagnostic and the final (s, r). Each step commutes with every
-rotation fixing u, so given its (s, r) a final particle is uniform on the
-sphere {s u + r w : |w| = 1, w . u = 0}; the lift draws w per particle
-from the LEVELS stream of stage V, and the final cells are the lifted
-states' own (they differ from s > 0 only where rounding moves a row sum
-within ~1e-16 r of 0). A ``record_resampled`` trace is lifted in the same
-way from the stage's RESAMPLE stream, after its draw. Siblings are
-independent here as on the levels. Lifted states must have a finite log q,
-as every state on the particle path does.
+Lumped families. A family may carry a ``Lumping``: a reduced family onto
+which its stage kernel, restricted or not, lumps exactly, and a ``lift``
+that draws a full state uniformly given its reduced one (the spin model's
+magnetisation levels and the Gaussian mixture's (s, r) rows; each family's
+constructor in ``families`` gives its exactness argument). The engine runs
+the reduced family iff the partition declares its cells there
+(``Partition.reduced``) and, for an enumerated reduced family, it fits the
+count path; otherwise the full family runs as given. Weights and cells are
+functions of the reduced states, so a lumped run has the full run's law:
+log z, every diagnostic and the final reduced states. The final states
+are lifted from the LEVELS stream of stage V and classified by the full
+partition; a ``record_resampled`` trace of (s, r) rows is lifted in the
+same way from the stage's RESAMPLE stream, after its draw. Siblings of a
+resampled parent are independent here, not on the full path: only the
+joint law of the final states differs, and ``estimate`` keeps its mean
+for any f. Lifted states must have a finite log q, as every state on the
+particle path does.
 
 Output is a pure function of (config, seed): all randomness comes from
 counter-based per-(stage, phase) Philox streams, and mutation noise comes
@@ -74,11 +56,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import rng as rngmod
 from .families import QUIET_LOG_Q, AnnealedFamily, InvalidStateError, Partition
-from .families import finite_log_q, spin_levels
+from .families import finite_log_q
 from .kernels import stage_kernel
 
 COUNT_PATH_MAX_STATES = 2048
@@ -94,10 +75,9 @@ class WeightCollapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run's inputs. A mean-field-ising family runs on its levels, so
-    its partition must be a function of the spin sum; a family with a
-    lumping runs on its (s, r) rows where the partition has a reduced form
-    (module docstring)."""
+    """One run's inputs. A family with a ``Lumping`` runs on its reduced
+    states where the partition declares its cells there (module
+    docstring)."""
 
     family: AnnealedFamily
     partition: Partition
@@ -215,22 +195,18 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
 def _initial_counts(family):
     """The count path's states and their stage-0 log masses, or None for a
     family that runs on particles (module docstring)."""
-    base, d = family.index_log_mass, family.dimension
-    if family.kind == "index" and base.size <= COUNT_PATH_MAX_STATES:
-        return np.arange(base.size), family.betas[0] * base
-    if family.name != "mean-field-ising" or d + 1 > COUNT_PATH_MAX_STATES:
+    base = family.index_log_mass
+    if family.kind != "index" or base.size > COUNT_PATH_MAX_STATES:
         return None
-    levels, k = spin_levels(d), np.arange(d + 1)
     with np.errstate(**QUIET_LOG_Q):
-        lq = finite_log_q(family.log_q(levels))
-    log_comb = gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)  # d up to 2047
-    return levels, log_comb + family.betas[0] * lq
+        lm0 = family.index_log_mult + family.betas[0] * finite_log_q(base)
+    return np.arange(base.size), lm0
 
 
-def _lift(config, rows, gen):
-    """d-dim states of a lumped run's (s, r) rows, whose log q must be
+def _lift(config, reduced, gen):
+    """Full states of a lumped run's reduced states, whose log q must be
     finite as every state the particle path holds is."""
-    states = config.family.lumping.lift(rows, gen)
+    states = config.family.lumping.lift(reduced, gen)
     with np.errstate(**QUIET_LOG_Q):
         finite_log_q(config.family.log_q(states))
     return states
@@ -240,7 +216,10 @@ def run(config: RunConfig) -> RunReport:
     """Execute a full run; deterministic given the config (incl. seed)."""
     family, partition, n = config.family, config.partition, config.n_particles
     lumping = family.lumping if partition.reduced is not None else None
-    if lumping is not None:  # run on (s, r) rows (module docstring)
+    reduced = family if lumping is None else lumping.family
+    if reduced.kind == "index" and reduced.index_log_mass.size > COUNT_PATH_MAX_STATES:
+        lumping = None  # an enumerated reduced family must fit the count path
+    if lumping is not None:  # run on the reduced states (module docstring)
         family, partition = lumping.family, partition.reduced
     restrict = partition if config.restricted else None
     gen = rngmod.stream(config.seed, 0, rngmod.INIT)
@@ -265,12 +244,12 @@ def run(config: RunConfig) -> RunReport:
             v, n, log_mass, states, cells, counts, gen, partition.n_cells
         )
         diagnostics.append(diag)
-        if config.record_resampled:  # a histogram over states or levels, or rows
+        if config.record_resampled:  # a histogram over states, or rows
             if counts is not None:
                 trace.append(counts.copy())
             elif family.kind == "index":
                 trace.append(_histogram(states, None, family.index_log_mass.size))
-            elif lumping is not None:  # d-dim rows, lifted after the draw
+            elif lumping is not None:  # full states, lifted after the draw
                 trace.append(_lift(config, states, gen))
             else:
                 trace.append(states.copy())
@@ -292,9 +271,7 @@ def run(config: RunConfig) -> RunReport:
     levels = (config.seed, family.n_stages, rngmod.LEVELS)
     if counts is not None:  # one row per particle, as callers index them
         states, cells = np.repeat(states, counts, axis=0), np.repeat(cells, counts)
-        if states.ndim == 2:  # spin levels: a uniform configuration of each
-            rngmod.stream(*levels).permuted(states, axis=1, out=states)
-    elif lumping is not None:  # (s, r) rows: a uniform state of each
+    if lumping is not None:  # a uniform full state of each reduced one
         states = _lift(config, states, rngmod.stream(*levels))
         with np.errstate(**QUIET_LOG_Q):
             cells = config.partition.classify(states)

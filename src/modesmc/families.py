@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
+from scipy.special import gammaln, log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 
 class InvalidStateError(ValueError):
@@ -41,12 +41,6 @@ def finite_log_q(lq) -> np.ndarray:
     if not np.all(np.isfinite(lq)):
         raise InvalidStateError("non-finite base log density in batch")
     return lq
-
-
-# where _row_sum adds columns (see its docstring)
-_MAX_FLOAT_COLUMNS = 7
-_MAX_INT_COLUMNS = 15
-_ROWS_PER_COLUMN = 128
 
 
 def _truncated_normal_ppf(us: np.ndarray, a: float) -> np.ndarray:
@@ -79,50 +73,13 @@ def _truncated_normal_ppf(us: np.ndarray, a: float) -> np.ndarray:
     return z
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=1)`` of an (n, d) batch, bit for bit.
-
-    On a large batch of short rows, adding the d columns costs far less
-    than numpy's reduce along each short row, and gives the same bits
-    wherever the order of the adds is the same:
-
-    - float64 with d < 8: numpy adds a row of fewer than 8 entries left to
-      right, starting from its identity +0.0 (so a row of -0.0 sums to
-      +0.0, and NaN and inf combine in the same order); from 8 entries on
-      it sums pairwise with 8 accumulators, which column adds cannot match;
-    - integer or bool: integer sums are exact in any order.
-
-    The first column is summed by numpy itself, which supplies that +0.0
-    start and the dtype ``x.sum`` returns (int64 for int8 spins); the rest
-    are added to it left to right, one ufunc call each. That fixed cost per
-    column loses on small batches (a replica-exchange chain is one row) and
-    on wide integer rows, whose adds also cast to int64. Timed against
-    ``x.sum(axis=1)`` (numpy 2.4, AMD EPYC), the column adds win from 128
-    rows per column at widths 2 to 7 for float64 and 2 to 15 for int8, bool
-    and int64; they lose at width 1 and, for int8, from width 31. Anywhere
-    else, and for other float dtypes, this is ``x.sum(axis=1)``.
-    """
-    n, d = x.shape
-    if n < _ROWS_PER_COLUMN * d or d < 2:  # small batches pay one check
-        return x.sum(axis=1)
-    if x.dtype == np.float64:
-        max_d = _MAX_FLOAT_COLUMNS
-    else:
-        max_d = _MAX_INT_COLUMNS if x.dtype.kind in "biu" else 0
-    if d > max_d:
-        return x.sum(axis=1)
-    acc = x[:, :1].sum(axis=1)
-    for j in range(1, d):
-        acc += x[:, j]
-    return acc
-
-
 @dataclass(frozen=True)
 class Partition:
     """Total deterministic classifier of states into cells 0..n_cells-1.
 
-    ``reduced``, where set, is the same cells on the (s, r) rows of a
-    family's ``Lumping``; the engine runs a lumped family there.
+    ``reduced``, where set, declares the same cells on the reduced states
+    of the family's ``Lumping``: the engine runs a lumped family only with
+    a partition that declares it.
     """
 
     n_cells: int
@@ -132,15 +89,17 @@ class Partition:
 
 @dataclass(frozen=True)
 class Lumping:
-    """A family on (s, r) rows onto which a family's random walk, restricted
-    or not, lumps exactly.
+    """A reduced family onto which a family's stage kernel, restricted or
+    not, lumps exactly (``engine`` docstring).
 
-    ``family`` is the reduced family: its rows are (s, r) = (x . 1_d /
-    sqrt(d), |x - s 1_d / sqrt(d)|), its log q at (s, r) is the full
-    family's at any x with those coordinates, and its kind "radial" runs
-    ``kernels.RadialWalk``. ``lift(rows, rng)`` draws one d-dim state per
-    row, uniform on the set of x with that (s, r). It describes the full
-    family's ``log_q``, so a copy with another ``log_q`` must drop it.
+    ``family`` is the reduced family: each of its states stands for a set
+    of full states on which the full family's log q is constant, and its
+    stage kernel moves between those sets by the law the full kernel does
+    (the spin model's levels, an index family, and the Gaussian mixture's
+    (s, r) rows, run by ``kernels.RadialWalk``). ``lift(states, rng)``
+    draws one full state per reduced one, uniform on its set. It describes
+    the full family's ``log_q``, so a copy with another ``log_q`` must
+    drop it.
     """
 
     family: AnnealedFamily
@@ -170,6 +129,13 @@ class AnnealedFamily:
         (v, n, rng) -> exact i.i.d. batch from mu_v, where available.
     index_log_mass : ndarray, optional
         For index families, the base log masses over the enumerated states.
+    index_log_mult : float or ndarray
+        For index families, a beta-independent log reference mass: mu_v
+        gives state i mass exp(index_log_mult[i] + beta_v index_log_mass[i]).
+    index_picks : pair
+        For index families, the neighbour walk's proposal probabilities
+        (down, up): i -> i - 1 with ``down[i - 1]``, i -> i + 1 with
+        ``up[i]`` (scalars or one per edge).
     sigma : float
         Scale hint for random-walk proposal sizing.
     lumping : Lumping, optional
@@ -184,6 +150,8 @@ class AnnealedFamily:
     name: str = "family"
     sample_stage: Optional[Callable] = None
     index_log_mass: Optional[np.ndarray] = None
+    index_log_mult: object = 0.0
+    index_picks: tuple = (0.5, 0.5)
     sigma: float = 1.0
     params: dict = field(default_factory=dict)
     lumping: Optional[Lumping] = None
@@ -252,7 +220,7 @@ def half_space_partition() -> Partition:
 
     def classify(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.where(_row_sum(x) > 0.0, 0, 1)
+        return np.where(x.sum(axis=1) > 0.0, 0, 1)
 
     def classify_reduced(z):
         return np.where(np.atleast_2d(z)[:, 0] > 0.0, 0, 1)
@@ -265,7 +233,7 @@ def spin_sign_partition() -> Partition:
 
     def classify(x):
         x = np.atleast_2d(np.asarray(x))
-        return np.where(_row_sum(x) >= 0, 0, 1)
+        return np.where(x.sum(axis=1) >= 0, 0, 1)
 
     return Partition(n_cells=2, classify=classify)
 
@@ -293,11 +261,20 @@ def gaussian_mixture_target(
     one-dimensional projection onto 1_d, which is how both mu_0 and the
     per-stage samplers are implemented.
 
-    The family carries a ``Lumping`` onto (s, r) rows, and the partition
-    the same cells on them, so the engine runs it there (``engine``
-    docstring). The schedule defaults to the multiplicative ladder
-    (d >= 2); pass an explicit betas tuple to override it (required for
-    d = 1).
+    The family carries a ``Lumping`` onto rows (s, r): s = x . u with u =
+    1_d / sqrt(d), and r = |x - s u|; the partition declares the same cells
+    (s > 0) on them. q depends on x through (s, r) only, the isotropic walk
+    x + h g moves (s, r) by a law that depends on (s, r) only
+    (``kernels.RadialWalk``), and a cross-cell refusal is a function of s,
+    so the walk, restricted or not, lumps exactly onto (s, r) (Dynkin's
+    criterion). mu_v has an exact (s, r) sampler. Each step commutes with
+    every rotation fixing u, so given its (s, r) a state is uniform on the
+    sphere {s u + r w : |w| = 1, w . u = 0}: ``lift`` draws w per row. The
+    lifted states' cells differ from s > 0 only where rounding moves a row
+    sum within ~1e-16 r of 0.
+
+    The schedule defaults to the multiplicative ladder (d >= 2); pass an
+    explicit betas tuple to override it (required for d = 1).
     """
     if not 0.0 < w < 1.0:
         raise ValueError(f"mixture weight must be in (0,1), got {w}")
@@ -314,14 +291,14 @@ def gaussian_mixture_target(
 
     def log_q(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        in_h = _row_sum(x) > 0.0
+        in_h = x.sum(axis=1) > 0.0
         # one quadratic form about each row's own centre: x - (-c) is x + c
-        # exactly; z keeps x's memory layout, so a fallback sum reduces the
-        # same rows the same way as ((x -+ center) ** 2).sum(axis=1)
+        # exactly; z keeps x's memory layout, so its sum reduces the same
+        # rows the same way as ((x -+ center) ** 2).sum(axis=1)
         z = np.empty_like(x)
         np.multiply(np.where(in_h, 1.0, -1.0)[:, None], center, out=z)
         np.subtract(x, z, out=z)
-        f = _row_sum(np.multiply(z, z, out=z)) * inv2s2
+        f = np.multiply(z, z, out=z).sum(axis=1) * inv2s2
         return np.where(in_h, logw1 - f, logw2 - f)
 
     u = np.ones(d) / math.sqrt(d)
@@ -401,6 +378,18 @@ def ising_target(d: int, alpha: float) -> tuple:
     d must be odd so the spin sum never lands on the cell boundary. The
     schedule is linear with a uniform (beta = 0) initial stage sampled
     exactly.
+
+    The family carries a ``Lumping`` onto its d + 1 magnetisation levels k
+    (number of +1 spins), an index family, and the partition the same
+    cells on them. Single-site flip moves the level of any configuration
+    up with probability (d - k)/d min(1, e^D) and down with k/d min(1,
+    e^-D), and refuses a cross-cell move by k alone, so the chain,
+    restricted or not, lumps onto k (strong lumpability; Kemeny and Snell,
+    Finite Markov Chains, 6.3). mu_v gives level k mass C(d, k) q(k)^beta_v,
+    so the levels carry log C(d, k) as reference mass and k/d, (d - k)/d as
+    picks. Each step commutes with a common permutation of the sites, so
+    given its level a configuration is uniform on the level set: ``lift``
+    draws one site permutation a row.
     """
     d = int(d)
     if d % 2 == 0:
@@ -410,12 +399,23 @@ def ising_target(d: int, alpha: float) -> tuple:
 
     def log_q(x):
         x = np.atleast_2d(np.asarray(x))
-        s = _row_sum(x).astype(float)
+        s = x.sum(axis=1).astype(float)
         return coeff * s * s
 
     def sample_initial(n, rng):
         return (rng.integers(0, 2, size=(n, d)) * 2 - 1).astype(np.int8)
 
+    def lift(k, rng):  # k leading +1s, then one site permutation a row
+        x = np.where(np.arange(d) < k[:, None], 1, -1).astype(np.int8)
+        return rng.permuted(x, axis=1, out=x)
+
+    k = np.arange(d + 1)
+    s = (2 * k - d).astype(float)  # each level's spin sum, as log_q sees it
+    with np.errstate(**QUIET_LOG_Q):  # past float range fails when run
+        energy = coeff * s * s
+    pick = np.arange(1, d + 1) / d
+    log_mult = gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)  # log C(d, k)
+    levels = index_family(energy, betas, log_mult, (pick, pick[::-1]))
     family = AnnealedFamily(
         log_q=log_q,
         betas=betas,
@@ -424,21 +424,21 @@ def ising_target(d: int, alpha: float) -> tuple:
         sample_initial=sample_initial,
         name="mean-field-ising",
         params={"d": d, "alpha": alpha},
+        lumping=Lumping(levels, lift),
     )
-    return family, spin_sign_partition()
+    reduced = index_partition(np.where(s >= 0, 0, 1))
+    return family, replace(spin_sign_partition(), reduced=reduced)
 
 
-def spin_levels(d: int) -> np.ndarray:
-    """One int8 spin row per magnetisation level k = 0..d (k = number of +1
-    spins): k leading +1s, then -1s."""
-    return np.where(np.arange(d) < np.arange(d + 1)[:, None], 1, -1).astype(np.int8)
+def index_family(base_log_mass: np.ndarray, betas, log_mult=0.0,
+                 picks=(0.5, 0.5)) -> AnnealedFamily:
+    """Tempered family over an enumerated space; states are indices.
 
-
-def index_family(base_log_mass: np.ndarray, betas) -> AnnealedFamily:
-    """Tempered family over an enumerated space; states are indices."""
+    ``log_mult`` and ``picks`` are the family's ``index_log_mult`` and
+    ``index_picks``. A non-finite base log mass fails when the family is
+    run (``finite_log_q``).
+    """
     base = np.asarray(base_log_mass, dtype=float)
-    if not np.all(np.isfinite(base)):
-        raise ValueError("base log masses must be finite")
     betas = tuple(betas)
     b0 = betas[0]
 
@@ -446,7 +446,7 @@ def index_family(base_log_mass: np.ndarray, betas) -> AnnealedFamily:
         return base[np.asarray(idx, dtype=np.int64)]
 
     def sample_initial(n, rng):
-        lm = b0 * base
+        lm = log_mult + b0 * base
         p = np.exp(lm - lm.max())
         p /= p.sum()
         return rng.choice(base.size, size=n, p=p)
@@ -459,6 +459,8 @@ def index_family(base_log_mass: np.ndarray, betas) -> AnnealedFamily:
         sample_initial=sample_initial,
         name="enumerated",
         index_log_mass=base,
+        index_log_mult=log_mult,
+        index_picks=picks,
     )
 
 

@@ -6,9 +6,10 @@ supply only a state dtype, a move buffer, a fill of it and a proposal. A
 proposal that would leave the state space (the neighbour walk's moves off
 either end of its path) returns the current state, so accepting it is a
 stay. ``RadialWalk`` is ``RandomWalkMetropolis`` on the Gaussian mixture's
-(s, r) rows (``engine`` docstring): with the same step size h it draws two
-normals and one Gamma variate a particle and step whatever d is, where the
-d-dim walk draws d normals and evaluates log q and the cells on d columns.
+(s, r) rows (``families.gaussian_mixture_target``): with the same step size
+h it draws two normals and one Gamma variate a particle and step whatever d
+is, where the d-dim walk draws d normals and evaluates log q and the cells
+on d columns.
 
 The driver's stream layout: particles fall into fixed blocks of
 ``_BLOCK`` = 1024 rows, block b being rows [1024 b, min(N, 1024 (b + 1))).
@@ -57,7 +58,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .families import QUIET_LOG_Q, AnnealedFamily, Partition, finite_log_q
-from .families import spin_levels
 
 
 def default_step_variance(sigma: float, beta: float, d: int) -> float:
@@ -205,8 +205,8 @@ class RandomWalkMetropolis(_Metropolis):
     dtype = float
 
     def __init__(self, log_density: Callable, proposal_std: float, dim: int):
-        if proposal_std <= 0:
-            raise ValueError("proposal_std must be positive")
+        if not proposal_std > 0:  # NaN too
+            raise ValueError(f"proposal_std must be positive, got {proposal_std}")
         self.log_density = log_density
         self.proposal_std = float(proposal_std)
         self.dim = int(dim)
@@ -292,31 +292,19 @@ class SingleSiteFlip(_Metropolis):
         out[np.arange(x.shape[0]), move] *= -1
         return out
 
-    def mutate_counts(self, counts, t, rng, partition=None):
-        """Advance counts over the levels k = 0..d (number of +1 spins) t
-        steps: law-equivalent to mutate when the log density and partition
-        are functions of the spin sum, as the chain then lumps onto k
-        (engine docstring), with ``up[k] = (d - k)/d min(1, e^D)`` and
-        ``down[k] = k/d min(1, e^-D)``. Level log densities must be finite.
-        """
-        levels = spin_levels(self.dim)
-        pick = np.arange(1, self.dim + 1) / self.dim
-        with np.errstate(**QUIET_LOG_Q):
-            lp = finite_log_q(self.log_density(levels))
-            labels = None if partition is None else partition.classify(levels)
-            down, up = _birth_death_band(lp, pick, pick[::-1], labels)
-        return _birth_death_counts(counts, down, up, t, rng)
-
 
 class DiscreteNeighborWalk(_Metropolis):
-    """Metropolized nearest-neighbor walk on an enumerated path of states."""
+    """Metropolized nearest-neighbor walk on an enumerated path of states,
+    proposing neighbours with ``picks`` (down, up) (``_birth_death_band``).
+    Particle moves draw each with 1/2 and refuse other picks."""
 
     dtype = np.int64
 
-    def __init__(self, log_mass: np.ndarray):
+    def __init__(self, log_mass: np.ndarray, picks=(0.5, 0.5)):
         self.log_mass = np.asarray(log_mass, dtype=float)
         if self.log_mass.ndim != 1:
             raise ValueError("log_mass must be a vector over states")
+        self.picks = picks
 
     @property
     def n_states(self):
@@ -326,6 +314,8 @@ class DiscreteNeighborWalk(_Metropolis):
         return self.log_mass[x]
 
     def new_moves(self, n):
+        if not all(np.all(np.asarray(p) == 0.5) for p in self.picks):
+            raise ValueError("particle moves propose each neighbour with 1/2")
         return np.empty(n, dtype=np.int64)
 
     def fill_moves(self, rng, moves, rows):
@@ -340,12 +330,12 @@ class DiscreteNeighborWalk(_Metropolis):
         return out
 
     def band(self, partition=None):
-        """Per-state move probabilities ``(down, up)`` to i-1 and i+1: a
-        neighbour proposed with probability 1/2 (``_birth_death_band``)."""
+        """Per-state move probabilities ``(down, up)`` to i-1 and i+1
+        (``_birth_death_band``)."""
         labels = None if partition is None else partition.classify(
             np.arange(self.n_states)
         )
-        return _birth_death_band(self.log_mass, 0.5, 0.5, labels)
+        return _birth_death_band(self.log_mass, *self.picks, labels)
 
     def transition_matrix(self) -> np.ndarray:
         down, up = self.band()
@@ -390,7 +380,7 @@ def stage_kernel(family: AnnealedFamily, v: int, step_size: Optional[float] = No
     if family.kind == "spin":
         return SingleSiteFlip(lambda x: beta * family.log_q(x), family.dimension)
     if family.kind == "index":
-        return DiscreteNeighborWalk(beta * family.index_log_mass)
+        return DiscreteNeighborWalk(beta * family.index_log_mass, family.index_picks)
     raise ValueError(f"no default kernel for state kind {family.kind!r}")
 
 

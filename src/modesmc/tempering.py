@@ -46,12 +46,15 @@ _MAX_BLOCK = 8192
 _BLOCK_VALUES = 1 << 22  # one block of moves: 32 MiB of float64
 
 
-def _chains(family: AnnealedFamily, step_size, seed: int, n_chains: int):
+def _chains(family: AnnealedFamily, step_size, seed: int, n_chains: int,
+            n_sweeps: int):
     """Move kernel, level move scales, block size, initial states, histogram.
 
     The histogram counts (level, state) visits on enumerated families and
     is None on the others.
     """
+    if n_sweeps < 0:
+        raise ValueError(f"n_sweeps must be >= 0, got {n_sweeps}")
     n_temps = len(family.betas)
     kernel = stage_kernel(family, n_temps - 1, step_size=1.0)
     scale = None  # Gaussian moves: each level's proposal std
@@ -90,7 +93,7 @@ def pt_run(family: AnnealedFamily, n_sweeps: int, seed: int,
     """
     betas = np.asarray(family.betas)
     n = betas.size
-    kernel, scale, block, x, counts = _chains(family, step_size, seed, n)
+    kernel, scale, block, x, counts = _chains(family, step_size, seed, n, n_sweeps)
     with np.errstate(**QUIET_LOG_Q):
         lq = finite_log_q(family.log_q(x))
     attempts = np.zeros(n - 1, dtype=np.int64)
@@ -150,9 +153,11 @@ def st_run(family: AnnealedFamily, n_sweeps: int, seed: int, log_pseudo,
     log_pseudo = np.asarray(log_pseudo, dtype=float)
     if log_pseudo.shape != (family.n_stages + 1,):
         raise ValueError("need one pseudo-prior weight per stage")
+    if not np.all(np.isfinite(log_pseudo)):
+        raise ValueError("log_pseudo must be finite")
     betas = family.betas
     n_temps = len(betas)
-    kernel, scale, block, x, counts = _chains(family, step_size, seed, 1)
+    kernel, scale, block, x, counts = _chains(family, step_size, seed, 1, n_sweeps)
     with np.errstate(**QUIET_LOG_Q):
         lq = finite_log_q(family.log_q(x))[0]
     k = 0

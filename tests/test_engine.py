@@ -554,13 +554,67 @@ class TestSpinLevels:
             counts[((x > 0) << np.arange(5)).sum()] += 1
         assert chisquare(counts, 1000 * mu).pvalue > 0.001
 
-    def test_other_spin_family_takes_particle_path(self, monkeypatch):
-        # the levels serve the family named mean-field-ising only
+    @staticmethod
+    def _kernels(monkeypatch):
+        """The kernel classes the engine's stage_kernel returns, in order."""
+        seen = []
+
+        def spying_kernel(*args, **kwargs):
+            kernel = stage_kernel(*args, **kwargs)
+            seen.append(type(kernel).__name__)
+            return kernel
+
+        monkeypatch.setattr("modesmc.engine.stage_kernel", spying_kernel)
+        return seen
+
+    def test_renamed_family_keeps_the_levels(self, monkeypatch):
+        # the path comes from the family's fields, not its name, so copies
+        # made by dataclasses.replace (as a tracer makes them) run the levels
         cfg = _spin(5, 300, 4, 3)
+        seen = self._kernels(monkeypatch)
         other = dataclasses.replace(cfg.family, name="custom-spin")
         report = run(dataclasses.replace(cfg, family=other))
+        assert set(seen) == {"DiscreteNeighborWalk"}
+        assert_same_run(report, run(cfg))
+
+    def test_partition_without_reduced_form_runs_spin_rows(self, monkeypatch):
+        cfg = _spin(5, 300, 4, 3)
+        part = Partition(cfg.partition.n_cells, cfg.partition.classify)
+        seen = self._kernels(monkeypatch)
+        report = run(dataclasses.replace(cfg, partition=part))
+        assert set(seen) == {"SingleSiteFlip"}
         _take_path(monkeypatch, "particles")
         assert_same_run(report, run(cfg))
+
+    @pytest.mark.parametrize("d,kernel", [(5, "DiscreteNeighborWalk"),
+                                          (7, "SingleSiteFlip")])
+    def test_levels_past_the_cap_run_spin_rows(self, monkeypatch, d, kernel):
+        # d + 1 levels take the count path up to COUNT_PATH_MAX_STATES (here
+        # 6), as ising above d = 2047 does at the default cap
+        monkeypatch.setattr(modesmc.engine, "COUNT_PATH_MAX_STATES", 6)
+        seen = self._kernels(monkeypatch)
+        report = run(_spin(d, 50, 2, 4))
+        assert set(seen) == {kernel}
+        assert report.final_states.shape == (50, d)
+
+    def test_partition_not_of_the_spin_sum_keeps_the_law(self, monkeypatch):
+        # the first spin's sign is not a function of the level: it runs on
+        # spin rows, and by spin-flip symmetry its cell 0 holds mass 1/2 at
+        # every stage; the mean final fraction over 200 runs must lie within
+        # 4 standard errors of 1/2
+        fam, _ = ising_target(7, 2.0)
+        part = Partition(2, lambda x: np.where(np.atleast_2d(x)[:, 0] > 0, 0, 1))
+
+        def config(seed):
+            return RunConfig(family=fam, partition=part, n_particles=500,
+                             mutation_steps=5, seed=seed)
+
+        reports = [run(config(rngmod.substream_seed(90, s))) for s in range(200)]
+        frac = np.array([np.mean(r.final_cells == 0) for r in reports])
+        se = frac.std(ddof=1) / math.sqrt(frac.size)
+        assert abs(frac.mean() - 0.5) < 4.0 * se, (frac.mean(), se)
+        _take_path(monkeypatch, "particles")
+        assert_same_run(reports[0], run(config(rngmod.substream_seed(90, 0))))
 
     def test_copied_partition_keeps_the_levels(self):
         # wrapped copies of the callables, as a tracer makes, run the same

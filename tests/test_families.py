@@ -20,7 +20,7 @@ from modesmc import (
     run,
 )
 from modesmc import rng as rngmod
-from modesmc.families import _row_sum, _truncated_normal_ppf
+from modesmc.families import _truncated_normal_ppf
 
 
 class TestSchedules:
@@ -360,7 +360,7 @@ class TestFamilyValidation:
 
 
 # ---------------------------------------------------------------------------
-# The hot closures before they summed rows by columns, kept as references.
+# The hot closures written plainly, kept as references.
 
 
 def reference_gaussian_log_q(d, w=0.5, sigma=1.0, nu=1.0):
@@ -421,53 +421,78 @@ def awkward_floats(rng, d):
 
 
 class TestRowSum:
+    """The row sums inside the families' log q and the partitions' classify
+    give the reference closures' bits on extreme values (inf, NaN, -0.0,
+    1e270), on every layout and batch size, and leave the batch as it is."""
+
+    @staticmethod
+    def _gaussian(d):
+        betas = (0.5, 1.0) if d == 1 else None
+        fam, part = gaussian_mixture_target(d, w=0.3, sigma=0.7, nu=1.3, betas=betas)
+        return fam, part, reference_gaussian_log_q(d, w=0.3, sigma=0.7, nu=1.3)
+
     @pytest.mark.parametrize("d", range(1, 21))
     def test_float64_matches_numpy_sum(self, d):
+        fam, part, ref = self._gaussian(d)
         rng = np.random.default_rng(500 + d)
         for x in layouts(awkward_floats(rng, d)):
             with np.errstate(invalid="ignore", over="ignore"):
-                got, want = _row_sum(x), x.sum(axis=1)
-            assert same_bits(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert same_bits(fam.log_q(x), ref(x))
+                assert same_bits(part.classify(x), reference_half_space_classify(x))
 
     @pytest.mark.parametrize("d", [1, 2, 5, 7, 8, 15, 31, 64, 301])
     def test_int8_spins_match_numpy_sum(self, d):
+        fam, part = ising_target(d + 1 - d % 2, 0.9)
+        ref = reference_ising_log_q(fam.dimension, 0.9)
         rng = np.random.default_rng(600 + d)
-        x = (rng.integers(0, 2, size=(2000, d)) * 2 - 1).astype(np.int8)
+        x = (rng.integers(0, 2, size=(2000, fam.dimension)) * 2 - 1).astype(np.int8)
         x[:10] = 1
         x[10:20] = -1
         for y in layouts(x):
-            assert same_bits(_row_sum(y), y.sum(axis=1))
+            assert same_bits(fam.log_q(y), ref(y))
+            assert same_bits(part.classify(y), reference_spin_sign_classify(y))
 
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64])
     def test_other_integer_dtypes_match_numpy_sum(self, dtype):
+        _, part = ising_target(3, 1.0)
         rng = np.random.default_rng(700)
         for d in (1, 3, 8, 15, 40):
             x = rng.integers(0, 2 if dtype is bool else 100, size=(2000, d))
             x = x.astype(dtype)
-            assert same_bits(_row_sum(x), x.sum(axis=1))
+            assert same_bits(part.classify(x), reference_spin_sign_classify(x))
 
     @pytest.mark.parametrize("dtype, d", [(np.float64, 2), (np.float64, 7), (np.int8, 15)])
-    def test_batches_either_side_of_the_row_threshold(self, dtype, d):
-        # small batches (one replica-exchange chain is one row) take the
-        # numpy reduce, large ones the column adds; both give numpy's bits
+    def test_one_row_and_large_batches_agree(self, dtype, d):
+        # a one-row batch (one replica-exchange chain) and large ones give
+        # each row the same value
         rng = np.random.default_rng(750 + d)
         x = rng.standard_normal((128 * d + 1, d))
         x[:2] = -0.0
-        x = x.astype(dtype) if dtype is np.float64 else np.sign(x).astype(dtype)
-        for n in (1, 2, 128 * d - 1, 128 * d, 128 * d + 1):
-            assert same_bits(_row_sum(x[:n]), x[:n].sum(axis=1))
+        if dtype is np.float64:
+            fam, part, _ = self._gaussian(d)
+        else:
+            x = np.sign(x).astype(dtype)
+            fam, part = ising_target(d, 0.9)
+        for f in (fam.log_q, part.classify):
+            whole = f(x)
+            for n in (1, 2, 128 * d - 1, 128 * d, 128 * d + 1):
+                assert same_bits(f(x[:n]), whole[:n])
 
     def test_input_is_left_unchanged(self):
-        x = np.arange(12, dtype=np.int64).reshape(4, 3)
-        _row_sum(x)
-        assert np.array_equal(x, np.arange(12).reshape(4, 3))
+        fam, part, _ = self._gaussian(3)
+        x = np.arange(12, dtype=float).reshape(4, 3) - 6.0
+        fam.log_q(x), part.classify(x)
+        assert np.array_equal(x, np.arange(12).reshape(4, 3) - 6.0)
 
     def test_empty_shapes(self):
-        for shape in ((0, 3), (4, 0), (0, 9)):
-            for dtype in (float, np.int8):
-                x = np.zeros(shape, dtype=dtype)
-                assert same_bits(_row_sum(x), x.sum(axis=1))
+        fam, part, ref = self._gaussian(9)
+        x = np.zeros((0, 9))
+        assert same_bits(fam.log_q(x), ref(x))
+        assert same_bits(part.classify(x), reference_half_space_classify(x))
+        spins, signs = ising_target(9, 1.0)
+        x = np.zeros((0, 9), dtype=np.int8)
+        assert same_bits(spins.log_q(x), reference_ising_log_q(9, 1.0)(x))
+        assert same_bits(signs.classify(x), reference_spin_sign_classify(x))
 
 
 def boundary_floats(rng, d):
@@ -599,3 +624,33 @@ class TestGaussianRows:
         # raised OverflowError at 1.3e154
         with pytest.raises(ValueError):
             gaussian_mixture_target(3, **bad)
+
+
+class TestSpinLevels:
+    """The spin model's lumping onto its magnetisation levels and the lift
+    back to spin rows."""
+
+    @pytest.mark.parametrize("d", [1, 5, 2047])
+    def test_level_energies_are_log_q_of_lifted_rows(self, d):
+        fam, part = ising_target(d, 1.3)
+        levels, k = fam.lumping.family, np.arange(d + 1)
+        x = fam.lumping.lift(k, rngmod.stream(90 + d, 0, rngmod.REPLICATE))
+        assert x.dtype == np.int8 and x.shape == (d + 1, d)
+        assert np.array_equal((x == 1).sum(axis=1), k)
+        assert same_bits(levels.index_log_mass, fam.log_q(x))
+        assert same_bits(levels.log_q(k), fam.log_q(x))
+        assert np.array_equal(part.reduced.classify(k), part.classify(x))
+        log_comb = [math.lgamma(d + 1) - math.lgamma(j + 1) - math.lgamma(d - j + 1)
+                    for j in range(d + 1)]
+        assert np.allclose(levels.index_log_mult, log_comb, rtol=1e-12, atol=1e-9)
+        down, up = levels.index_picks
+        assert np.array_equal(down * d, k[1:]) and np.array_equal(up * d, d - k[:-1])
+
+    def test_energies_past_float_range_fail_when_run(self):
+        # alpha = 1e308 overflows the level energies: building the family
+        # is quiet, running it raises the engine's InvalidStateError
+        fam, part = ising_target(5, 1e308)
+        assert not np.all(np.isfinite(fam.lumping.family.index_log_mass))
+        with pytest.raises(InvalidStateError):
+            run(RunConfig(family=fam, partition=part, n_particles=10,
+                          mutation_steps=1, seed=1))

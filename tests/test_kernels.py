@@ -400,6 +400,34 @@ class TestBandedCountStep:
         )
         assert np.all(free >= 0) and np.all(sealed >= 0)
 
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_spin_level_walk_is_the_lumped_flip_chain(self, restricted):
+        # the level walk's exact matrix is the 2**5-state flip chain's,
+        # lumped by the number of +1 spins (Kemeny and Snell's criterion:
+        # every configuration of a level moves to each level alike)
+        fam, part = ising_target(5, 2.0)
+        spins = enumerate_spins(5)
+        level = (spins == 1).sum(axis=1)
+        walk = stage_kernel(fam.lumping.family, 3)
+        P_flip = transition_matrix(stage_kernel(fam, 3))
+        if restricted:
+            walk = RestrictedKernel(walk, part.reduced)
+            P_flip = restrict_transition_matrix(P_flip, part.classify(spins))
+        P_walk = transition_matrix(walk)
+        for i in range(32):
+            lumped = np.bincount(level, weights=P_flip[i], minlength=6)
+            assert np.allclose(lumped, P_walk[level[i]], rtol=0, atol=1e-14)
+
+    def test_particle_moves_refuse_other_picks(self):
+        fam, _ = ising_target(5, 1.0)
+        walk = stage_kernel(fam.lumping.family, 2)
+        states = np.arange(6)
+        assert np.array_equal(walk.mutate(states, 0, _stream(48)), states)
+        with pytest.raises(ValueError, match="1/2"):
+            walk.mutate(states, 1, _stream(48))
+        with pytest.raises(ValueError, match="1/2"):
+            walk.draw_moves(_stream(48), 2, 3)
+
     def test_zero_steps_and_empty_states(self):
         walk, labels = _two_basin(64)
         counts = np.zeros(64, dtype=np.int64)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modesmc import (
+    InvalidStateError,
     gaussian_mixture_target,
     ising_space,
     ising_target,
@@ -278,3 +280,84 @@ class TestModeCrossing:
         report = mode_crossing_report(result.target_trace, part)
         assert report.crossings_per_sweep > 0.0
         assert abs(report.occupancy[0] - 0.5) < 0.15
+
+
+# float extremes for the tempering fuzz, each drawn among ordinary values
+_EXTREMES = [np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 1.7e308]
+_STEPS = st.none() | st.sampled_from([0.0, -1.0, *_EXTREMES]) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _tempering_calls(draw):
+    kind = draw(st.sampled_from(["index", "spin", "real"]))
+    if kind == "index":
+        family = reference_four_state().to_family()
+    elif kind == "spin":
+        alpha = draw(st.floats(-5.0, 5.0) | st.sampled_from(_EXTREMES))
+        family, _ = ising_target(draw(st.sampled_from([1, 3, 5, 7])), alpha)
+    else:
+        d = draw(st.integers(1, 5))
+        family, _ = gaussian_mixture_target(
+            d, sigma=draw(st.sampled_from([1e-150, 1.0, 1e150])),
+            nu=draw(st.sampled_from([0.0, 1.0, 1e150])),
+            betas=(0.5, 1.0) if d == 1 else None,
+        )
+    args = {
+        "n_sweeps": draw(st.integers(-3, 40)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "step_size": draw(_STEPS),
+    }
+    if draw(st.booleans()):
+        return family, "pt", args
+    n = len(family.betas)
+    if draw(st.integers(0, 9)) == 0:  # a wrong length, now and then
+        n += draw(st.sampled_from([-1, 1]))
+    log_pseudo = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    if log_pseudo and draw(st.integers(0, 3)) == 0:
+        log_pseudo[draw(st.integers(0, n - 1))] = draw(st.sampled_from(_EXTREMES))
+    args["log_pseudo"] = log_pseudo
+    return family, "st", args
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_tempering_calls())
+def test_tempering_fuzz(case):
+    # a direct call returns a finite result or raises ValueError (an
+    # out-of-range argument) or InvalidStateError, with no numpy warning
+    # (an error under pytest)
+    family, method, args = case
+    try:
+        if method == "pt":
+            result = pt_run(family, **args)
+            assert result.swap_attempts.sum() == args["n_sweeps"]
+            assert np.all(np.isfinite(result.states))
+            assert np.all(np.isfinite(result.target_trace))
+        else:
+            result = st_run(family, **args)
+            assert result.temp_counts.sum() == args["n_sweeps"]
+            assert np.all(np.isfinite(result.state))
+    except (ValueError, InvalidStateError):
+        return
+
+
+class TestOutOfRangeArguments:
+    @pytest.mark.parametrize("method", ["pt", "st"])
+    def test_negative_sweeps(self, space, method):
+        family = space.to_family()
+        with pytest.raises(ValueError, match="n_sweeps"):
+            if method == "pt":
+                pt_run(family, -1, seed=1)
+            else:
+                st_run(family, -1, seed=1, log_pseudo=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pseudo_priors(self, space, bad):
+        log_pseudo = np.zeros(4)
+        log_pseudo[2] = bad
+        with pytest.raises(ValueError, match="log_pseudo"):
+            st_run(space.to_family(), 5, seed=0, log_pseudo=log_pseudo)
+
+    def test_nan_step_size(self):
+        family, _ = gaussian_mixture_target(3)
+        with pytest.raises(ValueError, match="proposal_std"):
+            pt_run(family, 5, seed=0, step_size=np.nan)
