@@ -320,10 +320,9 @@ def run_smc_from_config(cfg: dict, threads: int, out_dir: Path):
     reports, runs = [], []
     for r, seed in enumerate(seeds):
         report = run(dataclasses.replace(config, seed=seed))
-        occupancy = (
-            np.bincount(report.final_cells, minlength=partition.n_cells)
-            / report.final_cells.shape[0]
-        )
+        occupancy = np.bincount(
+            report.cells, weights=report.counts, minlength=partition.n_cells
+        ) / config.n_particles
         reports.append(report)
         runs.append({
             "seed": int(seed),

@@ -21,22 +21,27 @@ once and ``counts`` its particles. Given the counts the particles are
 exchangeable and every recorded quantity is symmetric in them, so both
 have one law. Only resampling (particle rows, or a multinomial over
 states) and mutation (``mutate``, or ``mutate_counts``: two binomial
-draws per step over all states, O(m) whatever N is) differ. The final
-counts are expanded to N rows, ordered by state.
+draws per step over all states, O(m) whatever N is) differ. The run
+returns its population as it is (``RunReport``): on the count path each
+state once with its count, so a run at N = 1e10 holds O(m) numbers.
+``final_states`` and ``final_cells`` expand it to N rows, ordered by
+state, only where they are read.
 
 Lumped families. A family may carry a ``Lumping``: a reduced family onto
 which its stage kernel, restricted or not, lumps exactly, and a ``lift``
 that draws a full state uniformly given its reduced one (the spin model's
 magnetisation levels and the Gaussian mixture's (s, r) rows; each family's
 constructor in ``families`` gives its exactness argument). The engine runs
-the reduced family iff the partition declares its cells there
-(``Partition.reduced``) and, for an enumerated reduced family, it fits the
+the reduced family iff the partition declares its cells there with a
+reduced form that names the family's own ``Lumping`` (``Partition.reduced``,
+matched by identity) and, for an enumerated reduced family, it fits the
 count path; otherwise the full family runs as given. Weights and cells are
 functions of the reduced states, so a lumped run has the full run's law:
 log z, every diagnostic and the final reduced states. The final states
 are lifted from the LEVELS stream of stage V and classified by the full
-partition; a ``record_resampled`` trace of (s, r) rows is lifted in the
-same way from the stage's RESAMPLE stream, after its draw. Siblings of a
+partition, the level counts expanded to rows first; a
+``record_resampled`` trace of (s, r) rows is lifted in the same way from
+the stage's RESAMPLE stream, after its draw. Siblings of a
 resampled parent are independent here, not on the full path: only the
 joint law of the final states differs, and ``estimate`` keeps its mean
 for any f. Lifted states must have a finite log q, as every state on the
@@ -108,13 +113,37 @@ class StepDiagnostics:
 
 @dataclass
 class RunReport:
+    """A run's final population and diagnostics.
+
+    ``states`` and ``cells`` hold one row per particle with ``counts`` None
+    (the particle path, and a lumped run after its lift), or one row per
+    state holding ``counts`` particles (the count path). ``final_states``
+    and ``final_cells`` are the N particle rows either way, ordered by
+    state on the count path; they are expanded on every read and never
+    kept, so a report stays O(m) whatever N is.
+    """
+
     seed: int
-    final_states: np.ndarray
-    final_cells: np.ndarray
+    states: np.ndarray
+    cells: np.ndarray
     diagnostics: list
     log_z: float
+    counts: Optional[np.ndarray] = None
     stage_seconds: list = field(default_factory=list)
     resampled_trace: Optional[list] = None
+
+    def _rows(self, per_state):
+        if self.counts is None:
+            return per_state
+        return np.repeat(per_state, self.counts, axis=0)
+
+    @property
+    def final_states(self) -> np.ndarray:
+        return self._rows(self.states)
+
+    @property
+    def final_cells(self) -> np.ndarray:
+        return self._rows(self.cells)
 
     @property
     def log_z_by_stage(self) -> np.ndarray:
@@ -123,8 +152,13 @@ class RunReport:
 
 def _histogram(labels, counts, size):
     """Particles per label, from one label per particle (``counts`` None)
-    or one per state holding ``counts`` particles."""
-    return np.bincount(labels, weights=counts, minlength=size).astype(np.int64)
+    or one per state holding ``counts`` particles, summed in int64: exact
+    for any N below 2**63, where float weights lose counts past 2**53."""
+    if counts is None:
+        return np.bincount(labels, minlength=size).astype(np.int64, copy=False)
+    out = np.zeros(size, dtype=np.int64)
+    np.add.at(out, labels, counts)
+    return out
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -215,7 +249,9 @@ def _lift(config, reduced, gen):
 def run(config: RunConfig) -> RunReport:
     """Execute a full run; deterministic given the config (incl. seed)."""
     family, partition, n = config.family, config.partition, config.n_particles
-    lumping = family.lumping if partition.reduced is not None else None
+    lumping = family.lumping
+    if partition.reduced is None or partition.reduced.lumping is not lumping:
+        lumping = None  # a reduced form runs only with the lumping it names
     reduced = family if lumping is None else lumping.family
     if reduced.kind == "index" and reduced.index_log_mass.size > COUNT_PATH_MAX_STATES:
         lumping = None  # an enumerated reduced family must fit the count path
@@ -268,17 +304,18 @@ def run(config: RunConfig) -> RunReport:
                 counts, config.mutation_steps, gen, partition=restrict
             )
         seconds.append(time.perf_counter() - tic)
-    levels = (config.seed, family.n_stages, rngmod.LEVELS)
-    if counts is not None:  # one row per particle, as callers index them
-        states, cells = np.repeat(states, counts, axis=0), np.repeat(cells, counts)
     if lumping is not None:  # a uniform full state of each reduced one
-        states = _lift(config, states, rngmod.stream(*levels))
+        if counts is not None:  # the lift draws one full state a row
+            states, counts = np.repeat(states, counts, axis=0), None
+        levels = rngmod.stream(config.seed, family.n_stages, rngmod.LEVELS)
+        states = _lift(config, states, levels)
         with np.errstate(**QUIET_LOG_Q):
             cells = config.partition.classify(states)
     return RunReport(
         seed=config.seed,
-        final_states=states,
-        final_cells=cells,
+        states=states,
+        cells=cells,
+        counts=counts,
         diagnostics=diagnostics,
         log_z=float(sum(d.log_z_increment for d in diagnostics)),
         stage_seconds=seconds,
@@ -287,13 +324,20 @@ def run(config: RunConfig) -> RunReport:
 
 
 def estimate(report: RunReport, f: Callable) -> float:
-    """The terminal estimator mean of f over final particles, |f| <= 1."""
-    values = np.asarray(f(report.final_states), dtype=float)
-    if values.shape != (report.final_states.shape[0],):
+    """The terminal estimator mean of f over final particles, |f| <= 1.
+
+    On the count path f is evaluated once per state and weighted by its
+    count: the mean over the expanded rows, bit for bit where f takes
+    integer values (an indicator), and to rounding otherwise.
+    """
+    values = np.asarray(f(report.states), dtype=float)
+    if values.shape != (report.states.shape[0],):
         raise ValueError("f must map the particle batch to one value each")
     if np.any(np.abs(values) > 1.0 + 1e-12):
         raise ValueError("estimator requires |f| <= 1")
-    return float(values.mean())
+    if report.counts is None:
+        return float(values.mean())
+    return float(np.dot(values, report.counts) / report.counts.sum())
 
 
 def cell_tracking_error(report: RunReport, catalog) -> np.ndarray:

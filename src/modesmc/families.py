@@ -78,13 +78,15 @@ class Partition:
     """Total deterministic classifier of states into cells 0..n_cells-1.
 
     ``reduced``, where set, declares the same cells on the reduced states
-    of the family's ``Lumping``: the engine runs a lumped family only with
-    a partition that declares it.
+    of a ``Lumping``, the one its ``lumping`` names: the engine runs a
+    lumped family only with a partition whose reduced form names that
+    family's own ``Lumping`` object.
     """
 
     n_cells: int
     classify: Callable[[np.ndarray], np.ndarray]
     reduced: Optional[Partition] = None
+    lumping: Optional[Lumping] = None
 
 
 @dataclass(frozen=True)
@@ -213,19 +215,13 @@ def linear_schedule(d: int) -> tuple:
 
 
 def half_space_partition() -> Partition:
-    """Two cells split by the hyperplane sum(x) = 0; ties go to cell 1.
-
-    On (s, r) rows (``Lumping``) the same cells are s > 0 and s <= 0.
-    """
+    """Two cells split by the hyperplane sum(x) = 0; ties go to cell 1."""
 
     def classify(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.where(x.sum(axis=1) > 0.0, 0, 1)
 
-    def classify_reduced(z):
-        return np.where(np.atleast_2d(z)[:, 0] > 0.0, 0, 1)
-
-    return Partition(2, classify, reduced=Partition(2, classify_reduced))
+    return Partition(2, classify)
 
 
 def spin_sign_partition() -> Partition:
@@ -357,6 +353,11 @@ def gaussian_mixture_target(
         name="gaussian-mixture-rows",
         sigma=sigma,
     )
+
+    def classify_rows(z):
+        return np.where(np.atleast_2d(z)[:, 0] > 0.0, 0, 1)
+
+    lumping = Lumping(reduced, lift)
     family = AnnealedFamily(
         log_q=log_q,
         betas=betas,
@@ -367,9 +368,10 @@ def gaussian_mixture_target(
         name="gaussian-mixture",
         sigma=sigma,
         params={"d": d, "w": w, "sigma": sigma, "nu": nu},
-        lumping=Lumping(reduced, lift),
+        lumping=lumping,
     )
-    return family, half_space_partition()
+    rows = Partition(2, classify_rows, lumping=lumping)
+    return family, replace(half_space_partition(), reduced=rows)
 
 
 def ising_target(d: int, alpha: float) -> tuple:
@@ -416,6 +418,7 @@ def ising_target(d: int, alpha: float) -> tuple:
     pick = np.arange(1, d + 1) / d
     log_mult = gammaln(d + 1) - gammaln(k + 1) - gammaln(d - k + 1)  # log C(d, k)
     levels = index_family(energy, betas, log_mult, (pick, pick[::-1]))
+    lumping = Lumping(levels, lift)
     family = AnnealedFamily(
         log_q=log_q,
         betas=betas,
@@ -424,9 +427,9 @@ def ising_target(d: int, alpha: float) -> tuple:
         sample_initial=sample_initial,
         name="mean-field-ising",
         params={"d": d, "alpha": alpha},
-        lumping=Lumping(levels, lift),
+        lumping=lumping,
     )
-    reduced = index_partition(np.where(s >= 0, 0, 1))
+    reduced = replace(index_partition(np.where(s >= 0, 0, 1)), lumping=lumping)
     return family, replace(spin_sign_partition(), reduced=reduced)
 
 

@@ -34,11 +34,17 @@ call), and accepted proposals are copied into the state rows with
 densities and one step's moves, uniforms and proposals: O(N) rows whatever
 t is, where pre-drawing every step took O(t N) rows. Workers take
 contiguous ranges of blocks and draw their noise in parallel (numpy's
-fills release the GIL). That gains nothing on the Gaussian mixture's
-(s, r) rows, whose steps are a few short numpy calls a block: on the d = 5
-benchmark run (N = 5000, t = 100, 9 stages) one and two workers took a
-median 0.548 and 0.627 s, and 0.495 and 0.557 s, over two sets of 11
-alternating in-process pairs (2-core VM).
+fills release the GIL), but only for a kernel whose step is wide enough
+to pay for the threads (``split_blocks``): the d-dim random walk. Median
+``engine.run`` times, one worker against two, over alternating in-process
+pairs (2-core VM): d-dim Gaussian rows gained 1.11x at d = 5 (N = 5000, t
+= 100) and 1.64x at d = 40 (t = 20); the (s, r) rows broke even or lost
+(0.571 against 0.585 s, and 0.548 against 0.627 s, at the d = 5 benchmark
+run) and spin rows lost (0.73x at d = 15, N = 2000, t = 50), and so did the
+neighbour walk's integer rows on a 4096-state path (0.87x at N = 5000, t =
+100; 0.73x at N = 1e5, t = 20; ``kernel.mutate`` over 9 pairs). Every other
+kernel runs its blocks on one thread whatever ``workers`` is; the noise is
+per block, so the output is the same either way.
 
 Restriction follows the refuse-leaving-moves construction: a full base
 step is simulated and the result is discarded (the particle stays put)
@@ -137,14 +143,15 @@ class _Metropolis:
     SFC64 generator per block with it, then at each step fills per block,
     from that block's generator, the block's moves and then its ``rows``
     acceptance uniforms, and runs the step once over each worker's
-    contiguous range of blocks, accepting by ``np.copyto(..., where=)``
-    into the state rows. Its memory is O(N) rows whatever t is (module
-    docstring). A proposal whose log density is not finite raises
-    InvalidStateError.
+    contiguous range of blocks (one range unless ``split_blocks``),
+    accepting by ``np.copyto(..., where=)`` into the state rows. Its memory
+    is O(N) rows whatever t is (module docstring). A proposal whose log
+    density is not finite raises InvalidStateError.
     """
 
     dtype = None
     order = "K"  # memory layout of the state copy a call works on
+    split_blocks = False  # whether workers share the blocks (module docstring)
 
     def draw_moves(self, rng, t, n):
         """t steps of moves for n particles, indexed ``[step, particle]``
@@ -188,7 +195,7 @@ class _Metropolis:
                     np.copyto(xs, y, where=acc.reshape((-1,) + (1,) * (y.ndim - 1)))
                     np.copyto(lp, lpy, where=acc)
 
-        _run_chunked(task, n_blocks, workers)
+        _run_chunked(task, n_blocks, workers if self.split_blocks else 1)
         return x
 
     def step(self, states, rng, cells=None, partition=None):
@@ -203,6 +210,7 @@ class RandomWalkMetropolis(_Metropolis):
     """
 
     dtype = float
+    split_blocks = True
 
     def __init__(self, log_density: Callable, proposal_std: float, dim: int):
         if not proposal_std > 0:  # NaN too
@@ -237,6 +245,7 @@ class RadialWalk(RandomWalkMetropolis):
     """
 
     order = "F"  # contiguous s and r columns
+    split_blocks = False
 
     def draw_moves(self, rng, t, n):
         raise NotImplementedError("the tempering loops run the d-dim walk")

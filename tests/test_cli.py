@@ -704,6 +704,19 @@ class TestCommands:
         assert summary["config_hash"] == h
         assert summary["seed"] == 42
 
+    def test_run_smc_at_ten_billion_particles(self, tmp_path):
+        # the count path keeps one count per state, so N = 1e10 holds no row
+        # per particle, and the occupancy is read from the counts
+        cfg = {"problem": {"family": "four_state"},
+               "algorithm": {"method": "smc", "particles": 10**10,
+                             "mutation_steps": 20, "seed": 8}}
+        out = tmp_path / "o"
+        assert main(["run-smc", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        summary = yaml.safe_load((out / "summary.yaml").read_text())
+        assert summary["n_particles"] == 10**10
+        assert math.isclose(sum(summary["cell_occupancy"]), 1.0, rel_tol=1e-15)
+
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         path = write_cfg(tmp_path, ISING_CFG)
         outs = []

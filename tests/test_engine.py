@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.stats import chisquare, ks_2samp, kstest, norm
 
 from conftest import assert_same_run, same_bits
 from modesmc import (
+    DiscreteSpace,
     InvalidStateError,
     Partition,
     RunConfig,
@@ -450,6 +453,76 @@ class TestEstimators:
         assert abs(report.log_z - exact) / abs(exact) <= 0.05
 
 
+def _two_basin_path(m=512, stages=5):
+    """A tilted double well on a path of m states, one basin per cell."""
+    x = np.linspace(-1.0, 1.0, m)
+    return DiscreteSpace.tempered(-6.0 * (x * x - 1.0) ** 2 + 0.6 * x,
+                                  np.linspace(0.1, 1.0, stages + 1),
+                                  (x > 0).astype(np.int64))
+
+
+class TestWeightedPopulation:
+    """The count path's report holds each state once with its count."""
+
+    @pytest.mark.parametrize("restricted", [True, False])
+    def test_final_rows_expand_the_population(self, space, restricted):
+        report = run(_cfg(space, n=5_000, seed=53, restricted=restricted))
+        assert np.array_equal(report.states, np.arange(space.n_states))
+        assert report.counts.sum() == 5_000
+        assert same_bits(report.cells, space.to_partition().classify(report.states))
+        assert same_bits(report.final_states,
+                         np.repeat(report.states, report.counts, axis=0))
+        assert same_bits(report.final_cells, np.repeat(report.cells, report.counts))
+
+    def test_particle_and_lifted_reports_hold_rows(self):
+        for target in (ising_target(5, 1.0), gaussian_mixture_target(3)):
+            fam, part = target
+            report = run(RunConfig(family=fam, partition=part, n_particles=300,
+                                   mutation_steps=3, seed=54))
+            assert report.counts is None
+            assert report.final_states is report.states
+            assert report.final_cells is report.cells
+
+    @pytest.mark.parametrize("problem", ["four_state", "path512"])
+    def test_ten_billion_particles_in_bounded_time_and_memory(self, space, problem):
+        space = space if problem == "four_state" else _two_basin_path()
+        cfg = _cfg(space, n=10**10, t=50, seed=55)
+        tracemalloc.start()
+        try:
+            tic = time.perf_counter()
+            report = run(cfg)
+            elapsed = time.perf_counter() - tic
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0, elapsed
+        assert peak < 2**20, peak
+        assert report.counts.sum() == 10**10
+        frac = np.bincount(report.cells, weights=report.counts) / 10**10
+        assert np.all(np.abs(frac - space.cell_probs(space.n_stages)) < 1e-3)
+
+    def test_occupancies_exact_past_float_precision(self, space):
+        # 2**60 - 1 particles: float64 weights would drop the low bits
+        n = 2**60 - 1
+        report = run(_cfg(space, n=n, t=5, seed=56))
+        assert report.counts.sum() == n
+        for d in report.diagnostics:
+            assert d.occupancy_before.dtype == np.int64
+            assert int(d.occupancy_before.sum()) == n
+            assert int(d.occupancy_after.sum()) == n
+
+    def test_estimate_is_the_mean_over_rows(self):
+        space = _two_basin_path(m=64)
+        report = run(_cfg(space, n=100_001, t=5, seed=57))
+        rows = report.final_states
+        for f in (lambda x: (x % 3 == 0).astype(float),
+                  lambda x: np.where(x < 20, -1.0, 1.0)):
+            assert same_bits(estimate(report, f), float(f(rows).mean()))
+        f = lambda x: np.sin(0.37 * x)
+        assert math.isclose(estimate(report, f), float(f(rows).mean()),
+                            rel_tol=1e-12)
+
+
 class TestCellTracking:
     def test_symmetric_spin_tracking_small(self):
         fam, part = ising_target(5, 1.0)
@@ -643,6 +716,34 @@ class TestSpinLevels:
         for counts in report.resampled_trace:
             assert counts.shape == (8,)
             assert counts.sum() == 1000
+
+
+class TestLumpingMatch:
+    """A partition's reduced form runs only with the ``Lumping`` it names."""
+
+    @pytest.mark.parametrize("pairing,kernel", [
+        ("gauss-cells-on-spins", "SingleSiteFlip"),
+        ("spin-cells-on-gauss", "RandomWalkMetropolis"),
+        ("another-call", "SingleSiteFlip"),
+    ])
+    def test_mismatch_runs_the_full_family(self, monkeypatch, pairing, kernel):
+        # a reduced form naming another family's lumping, or another
+        # call's, is passed over: the run takes full rows, bit for bit as
+        # with no reduced form
+        spins, spin_cells = ising_target(7, 1.0)
+        gauss, gauss_cells = gaussian_mixture_target(3)
+        fam, part = {
+            "gauss-cells-on-spins": (spins, gauss_cells),
+            "spin-cells-on-gauss": (gauss, spin_cells),
+            "another-call": (spins, ising_target(7, 1.0)[1]),
+        }[pairing]
+        cfg = RunConfig(family=fam, partition=part, n_particles=300,
+                        mutation_steps=3, seed=58)
+        seen = TestSpinLevels._kernels(monkeypatch)
+        report = run(cfg)
+        assert set(seen) == {kernel}
+        plain = dataclasses.replace(part, reduced=None)
+        assert_same_run(report, run(dataclasses.replace(cfg, partition=plain)))
 
 
 class TestLogSumExp:

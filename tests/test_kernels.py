@@ -282,6 +282,32 @@ class TestWorkerInvariance:
         b = kernel.mutate(x, 9, _stream(14), workers=4)
         assert np.array_equal(a, b)
 
+    def test_only_the_d_dim_walk_splits_blocks(self, monkeypatch, space):
+        # threads pay only on the d-dim walk's wide steps; every other
+        # kernel runs its blocks on one worker whatever it is given
+        import modesmc.kernels
+
+        split = []
+
+        def chunked(task, n, workers):
+            split.append(workers)
+            task(range(n))
+
+        monkeypatch.setattr(modesmc.kernels, "_run_chunked", chunked)
+        gauss, part = gaussian_mixture_target(5)
+        spins, _ = ising_target(5, 1.0)
+        cases = [
+            (stage_kernel(gauss, 2), gauss.sample_initial(3_000, _stream(15)), 4),
+            (stage_kernel(gauss.lumping.family, 2),
+             gauss.lumping.family.sample_initial(3_000, _stream(16)), 1),
+            (stage_kernel(spins, 2), spins.sample_initial(3_000, _stream(17)), 1),
+            (stage_kernel(space.to_family(), 2),
+             _stream(18).integers(0, 4, size=3_000), 1),
+        ]
+        for kernel, x, workers in cases:
+            kernel.mutate(x, 2, _stream(19), workers=4)
+            assert split.pop() == workers, type(kernel).__name__
+
 
 # ---------------------------------------------------------------------------
 # The banded count step against the dense per-state reference.
