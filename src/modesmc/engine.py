@@ -20,8 +20,10 @@ of at most ``COUNT_PATH_MAX_STATES`` states, ``states`` holds each state
 once and ``counts`` its particles. Given the counts the particles are
 exchangeable and every recorded quantity is symmetric in them, so both
 have one law. Only resampling (particle rows, or a multinomial over
-states) and mutation (``mutate``, or ``mutate_counts``: two binomial
-draws per step over all states, O(m) whatever N is) differ. The run
+states) and mutation (``mutate``, or ``mutate_counts``: on a short path
+one multinomial draw a state over its row of the exact t-step matrix, at
+a cost that does not grow with t, and otherwise two binomial draws per
+step over all states; neither grows with N) differ. The run
 returns its population as it is (``RunReport``): on the count path each
 state once with its count, so a run at N = 1e10 holds O(m) numbers.
 ``final_states`` and ``final_cells`` expand it to N rows, ordered by

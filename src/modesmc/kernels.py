@@ -46,6 +46,31 @@ neighbour walk's integer rows on a 4096-state path (0.87x at N = 5000, t =
 kernel runs its blocks on one thread whatever ``workers`` is; the noise is
 per block, so the output is the same either way.
 
+The count step (``DiscreteNeighborWalk.mutate_counts``) advances the
+per-state counts of an m-state path t steps. Given the counts, particles
+move independently (Del Moral 2004), so the t steps of a stage are one
+multinomial draw per state over its row of the exact t-step matrix K^t,
+at a cost that does not grow with t; the banded step takes two binomial
+calls per step. It takes the t-step draw iff t > 1 and m^2 ceil(log2 t) <=
+C t, C = ``_T_STEP_COST``: the ratio of the banded step's O(t m) to the
+matrix power's O(m^3 log t) where m is large. Median ms per call, banded
+against t-step, on a two-cell restricted path with N = 2000 (N = 1e7
+alike; numpy 2.4, OpenBLAS, 2-core VM):
+
+    m \\ t        1            2            5           50          638
+     16   0.05 / 0.07  0.06 / 0.07  0.12 / 0.08  1.00 / 0.08  13.7 / 0.10
+     64   0.05 / 0.09  0.08 / 0.12  0.18 / 0.15  1.57 / 0.23  27.0 / 0.42
+    128   0.09 / 0.21  0.14 / 0.33  0.30 / 0.51  2.71 / 1.02  34.5 / 1.75
+    256   0.11 / 0.52  0.18 / 1.68  0.38 / 2.85  3.45 / 5.43  28.7 / 9.34
+    512   0.10 / 1.50  0.20 / 5.95  0.39 / 10.5  3.60 / 26.9  61.8 / 45.0
+
+At t = 1 the banded step always wins. The t-step draw lost where
+m^2 ceil(log2 t) / t was 7864 and more, and won where it was 1966 and
+less at t >= 50; at 4109 (m = 512, t = 638) it won in this table and lost
+by 12% in an earlier one. C = 3000 sits at the low end of that band,
+because a product of m >= 65 runs on OpenBLAS's threads, which on the
+2-core VM sometimes waited ~16 ms a product after an idle spell.
+
 Restriction follows the refuse-leaving-moves construction: a full base
 step is simulated and the result is discarded (the particle stays put)
 whenever it would land outside the particle's current cell. That
@@ -72,6 +97,7 @@ def default_step_variance(sigma: float, beta: float, d: int) -> float:
 
 
 _BLOCK = 1024  # rows per noise block; see the module docstring
+_T_STEP_COST = 3000  # the count step's crossover; see the module docstring
 
 
 def _chunks(n: int, workers: int):
@@ -104,6 +130,13 @@ def _birth_death_band(log_mass, down_pick, up_pick, labels=None):
         up[:-1][edge] = 0.0
         down[1:][edge] = 0.0
     return down, up
+
+
+def _takes_t_step(m, t):
+    """Whether ``mutate_counts`` draws t steps of an m-state path at once,
+    from the t-step matrix: iff t > 1 and m m ceil(log2 t) <= _T_STEP_COST t
+    (module docstring)."""
+    return t > 1 and m * m * (int(t) - 1).bit_length() <= _T_STEP_COST * t
 
 
 def _birth_death_counts(counts, down, up, t, rng):
@@ -346,8 +379,9 @@ class DiscreteNeighborWalk(_Metropolis):
         )
         return _birth_death_band(self.log_mass, *self.picks, labels)
 
-    def transition_matrix(self) -> np.ndarray:
-        down, up = self.band()
+    def transition_matrix(self, partition=None) -> np.ndarray:
+        """The exact one-step matrix of ``band(partition)``."""
+        down, up = self.band(partition)
         P = np.diag(1.0 - (down + up))
         i = np.arange(self.n_states - 1)
         P[i + 1, i] = down[1:]
@@ -355,8 +389,28 @@ class DiscreteNeighborWalk(_Metropolis):
         return P
 
     def mutate_counts(self, counts, t, rng, partition=None):
-        """Advance per-state counts t steps (law-equivalent to mutate)."""
-        return _birth_death_counts(counts, *self.band(partition), t, rng)
+        """Advance per-state counts t steps (law-equivalent to mutate).
+
+        Where ``_takes_t_step`` picks it, the t steps are one multinomial
+        draw a state over its row of the exact t-step matrix, one call per
+        closed block (a maximal run of states between edges that no move
+        crosses: every cell edge under restriction), each block's rows
+        normalised, so numpy's leftover stays in the block; otherwise t
+        banded steps (``_birth_death_counts``).
+        """
+        if not _takes_t_step(self.n_states, t):
+            return _birth_death_counts(counts, *self.band(partition), t, rng)
+        P = self.transition_matrix(partition)
+        shut = (np.diag(P, 1) == 0.0) & (np.diag(P, -1) == 0.0)
+        edges = [0, *(np.flatnonzero(shut) + 1), self.n_states]
+        Pt = np.linalg.matrix_power(P, t)  # exact zeros across shut edges
+        counts = np.asarray(counts, dtype=np.int64)
+        out = np.empty_like(counts)
+        for a, b in zip(edges[:-1], edges[1:]):
+            rows = Pt[a:b, a:b]
+            rows /= rows.sum(axis=1, keepdims=True)
+            out[a:b] = rng.multinomial(counts[a:b], rows).sum(axis=0)
+        return out
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ from modesmc import (
     stationary_distribution,
     transition_matrix,
 )
+from modesmc import kernels
 from modesmc import rng as rngmod
 from modesmc.discrete import enumerate_spins
-from modesmc.kernels import cell_submatrix
+from modesmc.kernels import _takes_t_step, cell_submatrix
 from conftest import assert_frequencies_close
 
 
@@ -361,11 +362,19 @@ class TestBandedCountStep:
         assert np.allclose(np.diag(R, -1), down[1:], rtol=0, atol=1e-15)
         assert np.allclose(np.diag(R, 1), up[:-1], rtol=0, atol=1e-15)
         assert down[0] == 0.0 and up[-1] == 0.0
+        assert np.allclose(
+            walk.transition_matrix(index_partition(labels)), R, rtol=0, atol=1e-15
+        )
 
-    @pytest.mark.parametrize("restricted", [False, True])
-    @pytest.mark.parametrize("start", [0, 11, 3, 5, 6])  # ends, interior, edge
-    def test_one_step_split_chi_square(self, start, restricted):
+    @pytest.mark.parametrize("start,restricted,t", [
+        # ends, interior, edge; one step (banded) and 40 (the t-step draw)
+        pytest.param(start, restricted, t,
+                     id=f"{start}-{restricted}" + ("" if t == 1 else f"-t{t}"))
+        for t in (1, 40) for restricted in (False, True) for start in (0, 11, 3, 5, 6)
+    ])
+    def test_one_step_split_chi_square(self, start, restricted, t):
         walk, labels = _two_basin(12)
+        assert _takes_t_step(12, t) == (t > 1)
         P = _loop_transition_matrix(walk.log_mass)
         part = None
         if restricted:
@@ -374,8 +383,8 @@ class TestBandedCountStep:
         n = 1_000_000
         counts = np.zeros(12, dtype=np.int64)
         counts[start] = n
-        out = walk.mutate_counts(counts, 1, _stream(20 + start), partition=part)
-        row = P[start]
+        out = walk.mutate_counts(counts, t, _stream(20 + start), partition=part)
+        row = np.linalg.matrix_power(P, t)[start]
         support = row > 0
         assert out.sum() == n
         assert np.all(out[~support] == 0)
@@ -383,15 +392,20 @@ class TestBandedCountStep:
         chi2 = ((out[support] - expected) ** 2 / expected).sum()
         assert stats.chi2.sf(chi2, support.sum() - 1) > 1e-3
 
-    @pytest.mark.parametrize("restricted", [False, True])
-    def test_mean_counts_after_five_steps(self, restricted):
-        walk, labels = _two_basin(64)
+    @pytest.mark.parametrize("restricted,m", [
+        # 64 states take the t-step draw at t = 5, 128 the banded step
+        pytest.param(restricted, m, id=f"{restricted}" + ("" if m == 64 else f"-m{m}"))
+        for m in (64, 128) for restricted in (False, True)
+    ])
+    def test_mean_counts_after_five_steps(self, restricted, m):
+        walk, labels = _two_basin(m)
+        assert _takes_t_step(m, 5) == (m == 64)
         P = _loop_transition_matrix(walk.log_mass)
         part = None
         if restricted:
             part = index_partition(labels)
             P = restrict_transition_matrix(P, labels)
-        counts = (np.arange(64) % 7) * 100
+        counts = (np.arange(m) % 7) * 100
         gen = _stream(40 + restricted)
         runs = np.array(
             [walk.mutate_counts(counts, 5, gen, partition=part) for _ in range(400)]
@@ -463,6 +477,80 @@ class TestBandedCountStep:
         out1 = walk.mutate_counts(counts, 1, _stream(47), partition=index_partition(labels))
         assert out1.sum() == 12
         assert np.all(out1[:19] == 0) and np.all(out1[24:] == 0)
+        out2 = walk.mutate_counts(counts, 2, _stream(47), partition=index_partition(labels))
+        assert _takes_t_step(64, 2) and out2.sum() == 12
+        assert np.all(out2[:18] == 0) and np.all(out2[25:] == 0)
+
+    def test_many_short_cells_stay_sealed(self):
+        # 16 cells of 3 states, labels alternating, drawn t steps at once:
+        # each run of one label is its own closed block
+        x = np.arange(48)
+        walk = DiscreteNeighborWalk(-(((x - 20) / 10.0) ** 2))
+        run = x // 3
+        part = index_partition(run % 2)
+        counts = _stream(49).multinomial(10**7, np.full(48, 1 / 48))
+        assert _takes_t_step(48, 40)
+        out = walk.mutate_counts(counts, 40, _stream(50), partition=part)
+        assert out.dtype == np.int64 and out.sum() == 10**7 and np.all(out >= 0)
+        assert np.array_equal(
+            np.bincount(run, weights=out), np.bincount(run, weights=counts)
+        )
+        free = walk.mutate_counts(counts, 40, _stream(51))
+        assert free.sum() == 10**7 and np.all(free >= 0)
+        assert not np.array_equal(  # unrestricted, the runs do exchange
+            np.bincount(run, weights=free), np.bincount(run, weights=counts)
+        )
+
+
+class TestCountStepChoice:
+    """``mutate_counts`` draws t steps at once iff m m ceil(log2 t) <=
+    _T_STEP_COST t, and otherwise runs the banded step unchanged."""
+
+    @staticmethod
+    def _spied(monkeypatch, walk):
+        calls = []
+
+        def spy(name, inner):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(
+            kernels, "_birth_death_counts", spy("banded", kernels._birth_death_counts)
+        )
+        walk.transition_matrix = spy("t-step", walk.transition_matrix)
+        return calls
+
+    @pytest.mark.parametrize("extra,called", [(0, "t-step"), (1, "banded")],
+                             ids=["at-edge", "past-edge"])
+    def test_choice_at_the_cost_edge(self, monkeypatch, extra, called):
+        t = 50
+        m = math.isqrt(kernels._T_STEP_COST * t // (t - 1).bit_length()) + extra
+        walk, labels = _two_basin(m)
+        calls = self._spied(monkeypatch, walk)
+        counts = np.full(m, 10, dtype=np.int64)
+        out = walk.mutate_counts(counts, t, _stream(52), partition=index_partition(labels))
+        assert calls == [called]
+        assert out.sum() == counts.sum()
+
+    def test_large_path_keeps_the_banded_draws(self):
+        # 512 states at t = 50 (the enum-counts shape): the same stream
+        # gives the banded step's counts bit for bit
+        walk, labels = _two_basin(512)
+        part = index_partition(labels)
+        counts = _stream(53).multinomial(10**7, np.full(512, 1 / 512))
+        got = walk.mutate_counts(counts, 50, _stream(54), partition=part)
+        want = kernels._birth_death_counts(counts, *walk.band(part), 50, _stream(54))
+        assert np.array_equal(got, want)
+
+    def test_spin_levels_take_the_t_step(self, monkeypatch):
+        fam, part = ising_target(15, 1.0)
+        walk = stage_kernel(fam.lumping.family, 7)
+        calls = self._spied(monkeypatch, walk)
+        counts = np.full(16, 125, dtype=np.int64)
+        walk.mutate_counts(counts, 50, _stream(55), partition=part.reduced)
+        assert calls == ["t-step"]
 
 
 # ---------------------------------------------------------------------------

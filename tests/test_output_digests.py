@@ -63,9 +63,9 @@ CASES = {
 DIGESTS = {
     'smc-four-state': {
         'diagnostics.csv':
-            '939aeaa06761435b30bda76ff337fbcab0f0c255ab9105125f7793cca4bed546',
+            'd5aede40629209a40f4162d575d44c4b1e10a6d0a0679e0486a89676af542bc7',
         'summary.yaml':
-            'e612c1a76e9a26f966b4f601df48294bbeacf92b26a1551d73b04b3239dd6be3',
+            'ae0e58729f4dd0c810062664d7b40cfccbb8871c2dadb4ad89a134199d24a5d1',
     },
     'smc-gauss-replicates': {
         'replicate_000/diagnostics.csv':
@@ -85,17 +85,17 @@ DIGESTS = {
     },
     'smc-ising-threads': {
         'diagnostics.csv':
-            'de259cf7fe5fa93042356e4bce7da295e3744ad715b5bb446b3df6200f0fd83d',
+            'b9d964b55f505362f53add9568402acce1e6e81e2e4f806e8b1fbe0494b0966e',
         'summary.yaml':
-            '2e66cc7a0d3f9c006e5ef95930e328a55a86fae43d75dfaade7c74cfc3618ed9',
+            '124ad5230abbeaa0544c39a873bf6eae2b38bb673656a7329dd56725c91abe0b',
     },
     'smc-ising-unrestricted': {
         'replicate_000/diagnostics.csv':
-            '52d9386c9f30ccfd9fe8f1b3d1ba84af8c09aa8530d37291e1c95a9c64403c7b',
+            'd4bf73cdf6d59a855daabcd77f1998f43835d9e79363450a13972db5671ca2de',
         'replicate_001/diagnostics.csv':
-            '95d957d6e006e86a8df3429af53794ee44c8963654dab10c046cdb99fd4f0082',
+            'e8b3f43ed5f19243dbbe693b4e0b16bc60b181dbccc2cd581b7822385851699b',
         'summary.yaml':
-            'f7862fca5b3d3845f8eb2f002399f3912617048a651be3f040e2666202df0203',
+            '3ab2775ad8c39df467e3e9065f422a326d177b50d51666dafa459d5a9766457a',
     },
     'pt-four-state': {
         'summary.yaml':
@@ -107,11 +107,11 @@ DIGESTS = {
     },
     'st-four-state': {
         'summary.yaml':
-            'f160a4ffb58cc6299a1a6cc5c6edccb55c9f7838d93d63a4a9a8207cd9730a67',
+            'b8135bcef5c5cd939c0d0c7698a176e4cd8040aead32f065cfc0f9fb049f413a',
     },
     'st-ising': {
         'summary.yaml':
-            'deca012f54e0807bc1a235c058880268b2934214ae20ba3c88904aa0bc3c7372',
+            '02e14f2d76a755ee18ed65a29252a503509ad22a17a0b9e9b51d0df817b91dc9',
     },
     'bounds-four-state': {
         'bounds.yaml':
