@@ -24,7 +24,6 @@ from .engine import RunConfig, run
 from .kernels import (
     cell_submatrix,
     mixing_time_bound,
-    restrict_transition_matrix,
     spectral_gap,
     stage_kernel,
     transition_matrix,
@@ -168,8 +167,7 @@ def warm_mixing_time(P_cell: np.ndarray, mu_cell: np.ndarray, M: float,
 def restricted_cell_blocks(space: DiscreteSpace, v: int) -> list:
     """Per cell j, the block of the stage-v restricted kernel on cell j and
     the stage-v conditional on that cell, which the block leaves invariant."""
-    base = stage_kernel(space.to_family(), v)
-    P = restrict_transition_matrix(transition_matrix(base), space.labels)
+    P = stage_kernel(space.to_family(), v).transition_matrix(space.to_partition())
     return [
         (cell_submatrix(P, space.labels, j), space.conditional(v, j))
         for j in range(space.n_cells)

@@ -41,9 +41,7 @@ count path; otherwise the full family runs as given. Weights and cells are
 functions of the reduced states, so a lumped run has the full run's law:
 log z, every diagnostic and the final reduced states. The final states
 are lifted from the LEVELS stream of stage V and classified by the full
-partition, the level counts expanded to rows first; a
-``record_resampled`` trace of (s, r) rows is lifted in the same way from
-the stage's RESAMPLE stream, after its draw. Siblings of a
+partition, the level counts expanded to rows first. Siblings of a
 resampled parent are independent here, not on the full path: only the
 joint law of the final states differs, and ``estimate`` keeps its mean
 for any f. Lifted states must have a finite log q, as every state on the
@@ -84,7 +82,10 @@ class WeightCollapseError(RuntimeError):
 class RunConfig:
     """One run's inputs. A family with a ``Lumping`` runs on its reduced
     states where the partition declares its cells there (module
-    docstring)."""
+    docstring). ``record_resampled`` keeps each stage's per-state counts
+    after its resampling draw; it needs an index population (the count or
+    particle path of an index family, lumped levels included), and any
+    other run raises ValueError before its first draw."""
 
     family: AnnealedFamily
     partition: Partition
@@ -122,7 +123,9 @@ class RunReport:
     state holding ``counts`` particles (the count path). ``final_states``
     and ``final_cells`` are the N particle rows either way, ordered by
     state on the count path; they are expanded on every read and never
-    kept, so a report stays O(m) whatever N is.
+    kept, so a report stays O(m) whatever N is. ``resampled_trace`` is
+    None unless ``record_resampled``, and otherwise holds one int64 count
+    vector over the run's index states for each stage v = 1..V.
     """
 
     seed: int
@@ -239,15 +242,6 @@ def _initial_counts(family):
     return np.arange(base.size), lm0
 
 
-def _lift(config, reduced, gen):
-    """Full states of a lumped run's reduced states, whose log q must be
-    finite as every state the particle path holds is."""
-    states = config.family.lumping.lift(reduced, gen)
-    with np.errstate(**QUIET_LOG_Q):
-        finite_log_q(config.family.log_q(states))
-    return states
-
-
 def run(config: RunConfig) -> RunReport:
     """Execute a full run; deterministic given the config (incl. seed)."""
     family, partition, n = config.family, config.partition, config.n_particles
@@ -260,6 +254,8 @@ def run(config: RunConfig) -> RunReport:
     if lumping is not None:  # run on the reduced states (module docstring)
         family, partition = lumping.family, partition.reduced
     restrict = partition if config.restricted else None
+    if config.record_resampled and family.kind != "index":
+        raise ValueError("record_resampled needs an index population")
     gen = rngmod.stream(config.seed, 0, rngmod.INIT)
     start = _initial_counts(family)
     if start is not None:
@@ -282,15 +278,8 @@ def run(config: RunConfig) -> RunReport:
             v, n, log_mass, states, cells, counts, gen, partition.n_cells
         )
         diagnostics.append(diag)
-        if config.record_resampled:  # a histogram over states, or rows
-            if counts is not None:
-                trace.append(counts.copy())
-            elif family.kind == "index":
-                trace.append(_histogram(states, None, family.index_log_mass.size))
-            elif lumping is not None:  # full states, lifted after the draw
-                trace.append(_lift(config, states, gen))
-            else:
-                trace.append(states.copy())
+        if config.record_resampled:
+            trace.append(_histogram(states, counts, family.index_log_mass.size))
         kernel = stage_kernel(family, v, step_size=config.step_size)
         gen = rngmod.stream(config.seed, v, rngmod.MUTATE)
         if counts is None:
@@ -310,8 +299,9 @@ def run(config: RunConfig) -> RunReport:
         if counts is not None:  # the lift draws one full state a row
             states, counts = np.repeat(states, counts, axis=0), None
         levels = rngmod.stream(config.seed, family.n_stages, rngmod.LEVELS)
-        states = _lift(config, states, levels)
-        with np.errstate(**QUIET_LOG_Q):
+        states = config.family.lumping.lift(states, levels)
+        with np.errstate(**QUIET_LOG_Q):  # finite, as on the particle path
+            finite_log_q(config.family.log_q(states))
             cells = config.partition.classify(states)
     return RunReport(
         seed=config.seed,
@@ -335,7 +325,7 @@ def estimate(report: RunReport, f: Callable) -> float:
     values = np.asarray(f(report.states), dtype=float)
     if values.shape != (report.states.shape[0],):
         raise ValueError("f must map the particle batch to one value each")
-    if np.any(np.abs(values) > 1.0 + 1e-12):
+    if not np.all(np.abs(values) <= 1.0 + 1e-12):  # NaN too
         raise ValueError("estimator requires |f| <= 1")
     if report.counts is None:
         return float(values.mean())

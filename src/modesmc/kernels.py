@@ -76,7 +76,10 @@ step is simulated and the result is discarded (the particle stays put)
 whenever it would land outside the particle's current cell. That
 reproduces the restricted kernel exactly for any base kernel given as a
 transition law, and makes the restricted chain invariant for the
-within-cell conditional.
+within-cell conditional. Each discrete kernel builds its own exact matrix,
+``transition_matrix(partition=None)``, restricted to the partition's cells
+of its own states where one is given: the walk's from its refusing band,
+the flip's by moving each row's cross-cell mass onto its diagonal.
 """
 
 from __future__ import annotations
@@ -334,6 +337,27 @@ class SingleSiteFlip(_Metropolis):
         out[np.arange(x.shape[0]), move] *= -1
         return out
 
+    def transition_matrix(self, partition=None) -> np.ndarray:
+        """The exact one-step matrix over ``discrete.enumerate_spins(dim)``,
+        where flipping site k toggles bit k of the state index, restricted
+        to the cells of ``partition`` where one is given."""
+        m = 2**self.dim
+        if m > MAX_MATRIX_STATES:
+            raise ValueError(f"spin space too large: 2**{self.dim}")
+        from .discrete import enumerate_spins
+
+        spins = enumerate_spins(self.dim)
+        lm = np.asarray(self.log_density(spins), dtype=float)
+        P = np.zeros((m, m))
+        idx = np.arange(m)
+        for k in range(self.dim):
+            j = idx ^ (1 << k)
+            P[idx, j] = np.minimum(1.0, np.exp(lm[j] - lm[idx])) / self.dim
+        P[idx, idx] = 1.0 - P.sum(axis=1)
+        if partition is None:
+            return P
+        return restrict_transition_matrix(P, partition.classify(spins))
+
 
 class DiscreteNeighborWalk(_Metropolis):
     """Metropolized nearest-neighbor walk on an enumerated path of states,
@@ -381,6 +405,8 @@ class DiscreteNeighborWalk(_Metropolis):
 
     def transition_matrix(self, partition=None) -> np.ndarray:
         """The exact one-step matrix of ``band(partition)``."""
+        if self.n_states > MAX_MATRIX_STATES:
+            raise ValueError(f"space too large: {self.n_states}")
         down, up = self.band(partition)
         P = np.diag(1.0 - (down + up))
         i = np.arange(self.n_states - 1)
@@ -472,43 +498,16 @@ def cell_submatrix(P: np.ndarray, labels, j: int) -> np.ndarray:
     return P[np.ix_(idx, idx)]
 
 
-def spin_flip_transition_matrix(log_density_vector: np.ndarray, d: int) -> np.ndarray:
-    """Exact matrix of the single-site flip kernel on enumerated spins.
-
-    States are ordered as in ``discrete.enumerate_spins``: flipping site k
-    toggles bit k of the state index.
-    """
-    lm = np.asarray(log_density_vector, dtype=float)
-    m = lm.size
-    if m != 2**d:
-        raise ValueError("log density vector must cover all 2**d spin states")
-    P = np.zeros((m, m))
-    idx = np.arange(m)
-    for k in range(d):
-        j = idx ^ (1 << k)
-        P[idx, j] = np.minimum(1.0, np.exp(lm[j] - lm[idx])) / d
-    P[idx, idx] = 1.0 - P.sum(axis=1)
-    return P
-
-
 def transition_matrix(kernel) -> np.ndarray:
-    """Exact row-stochastic matrix of a discrete-capable kernel."""
+    """Exact row-stochastic matrix of a kernel that builds its own; a
+    ``RestrictedKernel``'s is its base's, built restricted."""
+    partition = None
     if isinstance(kernel, RestrictedKernel):
-        P = transition_matrix(kernel.base)
-        labels = kernel.partition.classify(np.arange(P.shape[0]))
-        return restrict_transition_matrix(P, labels)
-    if isinstance(kernel, DiscreteNeighborWalk):
-        if kernel.n_states > MAX_MATRIX_STATES:
-            raise ValueError(f"space too large: {kernel.n_states}")
-        return kernel.transition_matrix()
-    if isinstance(kernel, SingleSiteFlip):
-        if 2**kernel.dim > MAX_MATRIX_STATES:
-            raise ValueError(f"spin space too large: 2**{kernel.dim}")
-        from .discrete import enumerate_spins
-
-        lm = np.asarray(kernel.log_density(enumerate_spins(kernel.dim)), dtype=float)
-        return spin_flip_transition_matrix(lm, kernel.dim)
-    raise TypeError(f"no exact transition matrix for {type(kernel).__name__}")
+        kernel, partition = kernel.base, kernel.partition
+    build = getattr(kernel, "transition_matrix", None)
+    if build is None:
+        raise TypeError(f"no exact transition matrix for {type(kernel).__name__}")
+    return build(partition)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ def _chains(family: AnnealedFamily, step_size, seed: int, n_chains: int,
 
 @dataclass
 class PTResult:
-    states: np.ndarray  # final chains, row v at betas[v]
     swap_attempts: np.ndarray
     swap_accepts: np.ndarray
     target_trace: np.ndarray  # beta=1 chain states per sweep
@@ -128,21 +127,17 @@ def pt_run(family: AnnealedFamily, n_sweeps: int, seed: int,
         trace[done : done + b] = held[:, -1]
         if counts is not None:
             np.add.at(counts, (np.arange(n), held), 1)
-    return PTResult(x, attempts, accepts, trace, counts)
+    return PTResult(attempts, accepts, trace, counts)
 
 
 @dataclass
 class STResult:
     temp_counts: np.ndarray
-    state: np.ndarray  # final state, a batch of one
-    temp: int  # final temperature index
     marginal_counts: Optional[np.ndarray] = None  # per-temp state histogram
-    temp_trace: Optional[np.ndarray] = None
 
 
 def st_run(family: AnnealedFamily, n_sweeps: int, seed: int, log_pseudo,
-           step_size: Optional[float] = None,
-           record_temp_trace: bool = False) -> STResult:
+           step_size: Optional[float] = None) -> STResult:
     """Run single-chain tempering; log_pseudo is one weight per stage.
 
     A sweep takes one kernel step at the current temperature, then
@@ -162,7 +157,6 @@ def st_run(family: AnnealedFamily, n_sweeps: int, seed: int, log_pseudo,
         lq = finite_log_q(family.log_q(x))[0]
     k = 0
     temp_counts = np.zeros(n_temps, dtype=np.int64)
-    trace = np.empty(n_sweeps, dtype=np.int64) if record_temp_trace else None
     gen = rngmod.stream(seed, 0, rngmod.CHAIN)
     for done in range(0, n_sweeps, block):
         b = min(block, n_sweeps - done)
@@ -188,11 +182,9 @@ def st_run(family: AnnealedFamily, n_sweeps: int, seed: int, log_pseudo,
                 held[s] = x
         finite_log_q(proposed)
         temp_counts += np.bincount(temps, minlength=n_temps)
-        if trace is not None:
-            trace[done : done + b] = temps
         if counts is not None:
             np.add.at(counts, (temps, held[:, 0]), 1)
-    return STResult(temp_counts, x, k, counts, trace)
+    return STResult(temp_counts, counts)
 
 
 @dataclass(frozen=True)

@@ -410,8 +410,9 @@ class TestEstimators:
 
     def test_out_of_range_rejected(self, space):
         report = run(_cfg(space, seed=17))
-        with pytest.raises(ValueError):
-            estimate(report, lambda x: np.full(x.shape[0], 1.5))
+        for value in (1.5, np.nan):
+            with pytest.raises(ValueError):
+                estimate(report, lambda x: np.full(x.shape[0], value))
 
     def test_symmetric_spin_sign_is_centered(self):
         fam, part = ising_target(5, 1.0)
@@ -551,38 +552,33 @@ class TestTrace:
     def test_resampled_trace_counts(self, space, monkeypatch):
         for mode in ("counts", "particles"):
             _take_path(monkeypatch, mode)
-            report = run(_cfg(space, n=1_000, t=5, seed=47, record_resampled=True))
+            cfg = _cfg(space, n=1_000, t=5, seed=47, record_resampled=True)
+            report = run(cfg)
             assert len(report.resampled_trace) == space.n_stages
-            for counts in report.resampled_trace:
+            for counts, diag in zip(report.resampled_trace, report.diagnostics):
                 assert counts.shape == (space.n_states,)
                 assert counts.sum() == 1_000
+                cell_sums = np.bincount(space.labels, weights=counts, minlength=2)
+                assert np.array_equal(cell_sums, diag.occupancy_after)
+            # the trace draws nothing: a traced run is the untraced one
+            plain = run(dataclasses.replace(cfg, record_resampled=False))
+            assert_same_run(report, plain)
 
-    def test_resampled_trace_copies_particle_rows(self, monkeypatch):
-        # a kernel that moves its input rows in place must not reach the
-        # trace; unrestricted, so an entry aliasing the mutated rows would
-        # show other cells than its stage's resampled occupancy
-        def in_place_kernel(*args, **kwargs):
-            kernel = stage_kernel(*args, **kwargs)
-            mutate = kernel.mutate
+    @pytest.mark.parametrize("target", ["gaussian", "spin-rows"])
+    def test_trace_needs_an_index_population(self, target, monkeypatch):
+        if target == "gaussian":
+            fam, part = gaussian_mixture_target(3)
+        else:  # a spin partition without a reduced form runs the spin rows
+            fam, part = ising_target(5, 1.0)
+            part = dataclasses.replace(part, reduced=None)
 
-            def mutate_in_place(states, *a, **k):
-                states[...] = mutate(states, *a, **k)
-                return states
+        def no_draw(*args):
+            raise AssertionError("a stream was opened")
 
-            kernel.mutate = mutate_in_place
-            return kernel
-
-        monkeypatch.setattr("modesmc.engine.stage_kernel", in_place_kernel)
-        fam, part = gaussian_mixture_target(3)
-        report = run(RunConfig(family=fam, partition=part, n_particles=1_000,
-                               mutation_steps=10, seed=48, restricted=False,
-                               record_resampled=True))
-        assert len(report.resampled_trace) == fam.n_stages
-        for states, diag in zip(report.resampled_trace, report.diagnostics):
-            assert states.shape == (1_000, 3)
-            assert not np.shares_memory(states, report.final_states)
-            occupancy = np.bincount(part.classify(states), minlength=2)
-            assert np.array_equal(occupancy, diag.occupancy_after)
+        monkeypatch.setattr(rngmod, "stream", no_draw)
+        with pytest.raises(ValueError, match="record_resampled"):
+            run(RunConfig(family=fam, partition=part, n_particles=100,
+                          mutation_steps=2, seed=48, record_resampled=True))
 
 
 def _spin(d, n, t, seed, alpha=1.0, **kw):
@@ -846,18 +842,6 @@ class TestGaussianRows:
         assert report.final_cells.dtype == cells.dtype
         assert np.array_equal(report.final_cells, cells)
         assert np.isfinite(report.log_z)
-
-    def test_lifted_trace_holds_resampled_occupancy(self):
-        cfg = _gauss(4, 400, 3, 85, record_resampled=True)
-        report = run(cfg)
-        assert len(report.resampled_trace) == cfg.family.n_stages
-        for states, diag in zip(report.resampled_trace, report.diagnostics):
-            assert states.shape == (400, 4)
-            occupancy = np.bincount(cfg.partition.classify(states), minlength=2)
-            assert np.array_equal(occupancy, diag.occupancy_after)
-        # the trace draws from the stage's resampling stream after its draw
-        plain = run(dataclasses.replace(cfg, record_resampled=False))
-        assert_same_run(report, plain)
 
 
 # float extremes for the library fuzz: subnormals, huge values and ordinary ones

@@ -25,7 +25,7 @@ from modesmc import kernels
 from modesmc import rng as rngmod
 from modesmc.discrete import enumerate_spins
 from modesmc.kernels import _takes_t_step, cell_submatrix
-from conftest import assert_frequencies_close
+from conftest import assert_frequencies_close, same_bits
 
 
 def _stream(tag):
@@ -184,9 +184,20 @@ class TestTransitionMatrices:
         assert_frequencies_close(np.bincount(idx, minlength=8), P[i], n_se=4.0)
 
     def test_too_large_space_rejected(self):
-        walk = DiscreteNeighborWalk(np.zeros(10_001))
-        with pytest.raises(ValueError):
-            transition_matrix(walk)
+        def log_density(x):  # the guard raises before any state is built
+            raise AssertionError("states were enumerated")
+
+        for kernel in (DiscreteNeighborWalk(np.zeros(10_001)),
+                       SingleSiteFlip(log_density, 14)):
+            with pytest.raises(ValueError, match="too large"):
+                transition_matrix(kernel)
+
+    def test_kernel_without_exact_law_rejected(self):
+        fam, part = gaussian_mixture_target(2)
+        kernel = stage_kernel(fam, 1)
+        for k in (kernel, RestrictedKernel(kernel, part)):
+            with pytest.raises(TypeError):
+                transition_matrix(k)
 
 
 class TestSpectralGap:
@@ -452,7 +463,11 @@ class TestBandedCountStep:
         P_flip = transition_matrix(stage_kernel(fam, 3))
         if restricted:
             walk = RestrictedKernel(walk, part.reduced)
-            P_flip = restrict_transition_matrix(P_flip, part.classify(spins))
+            cells = part.classify(spins)
+            R = transition_matrix(RestrictedKernel(stage_kernel(fam, 3), part))
+            assert same_bits(R, restrict_transition_matrix(P_flip, cells))
+            assert not np.any(R[cells[:, None] != cells[None, :]])
+            P_flip = R
         P_walk = transition_matrix(walk)
         for i in range(32):
             lumped = np.bincount(level, weights=P_flip[i], minlength=6)

@@ -58,6 +58,9 @@ CASES = {
     "st-ising": ("run-st", [], {"problem": _ISING, "algorithm": _ST}),
     "bounds-four-state": ("bounds", [], {"problem": _FOUR}),
     "bounds-ising": ("bounds", [], {"problem": _ISING}),
+    # the verify suite ignores its config; its exact restricted cell blocks
+    # and warmness trace reach verify.csv
+    "verify-quick": ("verify", ["--quick"], {}),
 }
 
 DIGESTS = {
@@ -120,6 +123,10 @@ DIGESTS = {
     'bounds-ising': {
         'bounds.yaml':
             'ecca0184b4672d5d9899a24e76964f14acb235111719e93107b60d78d775530b',
+    },
+    'verify-quick': {
+        'verify.csv':
+            '93a86b48b47450a8c7d324acd3754200086cbbcef7f3160f3ad84d5e73614267',
     },
 }
 

@@ -120,11 +120,10 @@ class TestMatchesReferenceLoops:
         return _enumerated_spaces()[int(request.param[-1])].to_family()
 
     def test_pt_identical(self, family):
-        chains, attempts, accepts, counts, trace = reference_pt_index(
+        _, attempts, accepts, counts, trace = reference_pt_index(
             family, IDENTITY_SWEEPS, seed=17
         )
         r = pt_run(family, IDENTITY_SWEEPS, seed=17)
-        assert np.array_equal(r.states, chains)
         assert np.array_equal(r.swap_attempts, attempts)
         assert np.array_equal(r.swap_accepts, accepts)
         assert np.array_equal(r.marginal_counts, counts)
@@ -134,15 +133,12 @@ class TestMatchesReferenceLoops:
     def test_st_identical(self, family):
         gen = rngmod.stream(18, 0, rngmod.REPLICATE)
         log_pseudo = gen.normal(0.0, 0.5, size=len(family.betas))
-        x, k, temp_counts, marginal, trace = reference_st_index(
+        _, _, temp_counts, marginal, _ = reference_st_index(
             family, IDENTITY_SWEEPS, 19, log_pseudo
         )
-        r = st_run(family, IDENTITY_SWEEPS, 19, log_pseudo, record_temp_trace=True)
-        assert np.array_equal(r.state, [x])
-        assert r.temp == k
+        r = st_run(family, IDENTITY_SWEEPS, 19, log_pseudo)
         assert np.array_equal(r.temp_counts, temp_counts)
         assert np.array_equal(r.marginal_counts, marginal)
-        assert np.array_equal(r.temp_trace, trace)
 
 
 class TestPTMarginals:
@@ -181,19 +177,14 @@ class TestEveryFamily:
         family = _families()[kind]
         result = pt_run(family, 500, seed=12)
         assert result.swap_attempts.sum() == 500
-        assert result.states.shape[0] == len(family.betas)
         assert result.target_trace.shape[0] == 500
 
     @pytest.mark.parametrize("kind", ["index", "spin", "real"])
     def test_st_moves_state_and_temperature(self, kind):
         family = _families()[kind]
-        result = st_run(
-            family, 500, seed=36, log_pseudo=np.zeros(len(family.betas)),
-            record_temp_trace=True,
-        )
+        result = st_run(family, 500, seed=36, log_pseudo=np.zeros(len(family.betas)))
         assert result.temp_counts.sum() == 500
-        assert len(set(result.temp_trace.tolist())) > 1
-        assert result.state.shape[0] == 1
+        assert np.count_nonzero(result.temp_counts) > 1
 
     def test_zero_sweeps(self):
         family, part = ising_target(5, 1.0)
@@ -203,7 +194,7 @@ class TestEveryFamily:
         assert report.crossings_per_sweep == 0.0
         assert report.occupancy.size == 0
         st = st_run(family, 0, seed=1, log_pseudo=np.zeros(len(family.betas)))
-        assert st.temp_counts.sum() == 0 and st.temp == 0
+        assert st.temp_counts.sum() == 0
 
 
 class TestExactSpinLaw:
@@ -330,12 +321,10 @@ def test_tempering_fuzz(case):
         if method == "pt":
             result = pt_run(family, **args)
             assert result.swap_attempts.sum() == args["n_sweeps"]
-            assert np.all(np.isfinite(result.states))
             assert np.all(np.isfinite(result.target_trace))
         else:
             result = st_run(family, **args)
             assert result.temp_counts.sum() == args["n_sweeps"]
-            assert np.all(np.isfinite(result.state))
     except (ValueError, InvalidStateError):
         return
 
