@@ -19,7 +19,10 @@ path). Command run-<method> runs only a config whose algorithm.method is
 that method. Runs write a per-stage diagnostics CSV with a fixed column
 order plus a YAML summary carrying provenance (config hash, seed,
 version); identical effective configs produce byte-identical diagnostics
-files regardless of --threads.
+files regardless of --threads. Every YAML the CLI writes or prints goes
+through one dumper: libyaml's C emitter where PyYAML was built with it,
+which emits the same text as the pure-Python ``SafeDumper`` it falls
+back to.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ DIAGNOSTIC_COLUMNS = (
     "config_hash",
     "seed",
 )
+
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class ConfigError(ValueError):
@@ -178,8 +183,12 @@ def _require(cfg, block, key):
     return value
 
 
+def _dump(data) -> str:
+    return yaml.dump(data, Dumper=_DUMPER, sort_keys=True)
+
+
 def serialize_config(cfg: dict) -> str:
-    return yaml.safe_dump(cfg, sort_keys=True)
+    return _dump(cfg)
 
 
 def parse_config(text: str) -> dict:
@@ -271,7 +280,7 @@ def _write(path: Path, text: str):
 
 
 def _write_summary(path: Path, summary: dict):
-    _write(path, yaml.safe_dump(summary, sort_keys=True))
+    _write(path, _dump(summary))
 
 
 def _provenance(cfg: dict) -> dict:
@@ -582,7 +591,7 @@ def main(argv=None) -> int:
             want, method = args.command[4:], _require(cfg, "algorithm", "method")
             if method != want:
                 raise ConfigError("algorithm.method", f"expected {want}, got {method}")
-            print(yaml.safe_dump(_run_method(cfg, args.threads, out), sort_keys=True))
+            print(_dump(_run_method(cfg, args.threads, out)))
         elif args.command == "bounds":
             table = bounds_from_config(cfg, out_dir=out)
             for key in sorted(table):

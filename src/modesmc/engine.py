@@ -40,12 +40,18 @@ matched by identity) and, for an enumerated reduced family, it fits the
 count path; otherwise the full family runs as given. Weights and cells are
 functions of the reduced states, so a lumped run has the full run's law:
 log z, every diagnostic and the final reduced states. The final states
-are lifted from the LEVELS stream of stage V and classified by the full
-partition, the level counts expanded to rows first. Siblings of a
-resampled parent are independent here, not on the full path: only the
-joint law of the final states differs, and ``estimate`` keeps its mean
-for any f. Lifted states must have a finite log q, as every state on the
-particle path does.
+are lifted from the LEVELS stream of stage V. Reduced rows (the Gaussian
+(s, r) rows) are lifted in ``run`` and classified by the full partition;
+their log q must be finite, as every state on the particle path is. A
+count-path run (the spin levels) returns its level population and that
+stream unused, and ``final_states`` lifts the expanded level rows from a
+copy of it on each read, so a run at the paper's N holds O(d) numbers and
+every read gives the same rows. Its ``final_cells`` are the level cells
+expanded, which the reduced form declares to be the lifted rows' cells; a
+level's rows share its log q, checked finite when the run starts.
+Siblings of a resampled parent are independent here, not on the full
+path: only the joint law of the final states differs, and ``estimate``
+keeps its mean for any f.
 
 Output is a pure function of (config, seed): all randomness comes from
 counter-based per-(stage, phase) Philox streams, and mutation noise comes
@@ -56,6 +62,7 @@ never changes the result.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -119,13 +126,17 @@ class RunReport:
     """A run's final population and diagnostics.
 
     ``states`` and ``cells`` hold one row per particle with ``counts`` None
-    (the particle path, and a lumped run after its lift), or one row per
-    state holding ``counts`` particles (the count path). ``final_states``
-    and ``final_cells`` are the N particle rows either way, ordered by
-    state on the count path; they are expanded on every read and never
-    kept, so a report stays O(m) whatever N is. ``resampled_trace`` is
-    None unless ``record_resampled``, and otherwise holds one int64 count
-    vector over the run's index states for each stage v = 1..V.
+    (the particle path, and a lumped run on reduced rows after its lift),
+    or one row per state holding ``counts`` particles (the count path, the
+    spin levels included). ``final_states`` and ``final_cells`` are the N
+    particle rows either way, ordered by state on the count path; they are
+    expanded on every read and never kept, so a report stays O(m) whatever
+    N is. On the levels ``lift`` and ``levels`` are set: ``final_states``
+    lifts the expanded rows from a copy of the unused ``levels`` stream on
+    every read, so each read gives the same full states (module
+    docstring). ``resampled_trace`` is None unless ``record_resampled``,
+    and otherwise holds one int64 count vector over the run's index states
+    for each stage v = 1..V.
     """
 
     seed: int
@@ -136,6 +147,8 @@ class RunReport:
     counts: Optional[np.ndarray] = None
     stage_seconds: list = field(default_factory=list)
     resampled_trace: Optional[list] = None
+    lift: Optional[Callable] = None
+    levels: Optional[np.random.Generator] = None
 
     def _rows(self, per_state):
         if self.counts is None:
@@ -144,7 +157,10 @@ class RunReport:
 
     @property
     def final_states(self) -> np.ndarray:
-        return self._rows(self.states)
+        rows = self._rows(self.states)
+        if self.lift is None:
+            return rows
+        return self.lift(rows, copy.deepcopy(self.levels))
 
     @property
     def final_cells(self) -> np.ndarray:
@@ -295,14 +311,16 @@ def run(config: RunConfig) -> RunReport:
                 counts, config.mutation_steps, gen, partition=restrict
             )
         seconds.append(time.perf_counter() - tic)
+    lift = levels = None
     if lumping is not None:  # a uniform full state of each reduced one
-        if counts is not None:  # the lift draws one full state a row
-            states, counts = np.repeat(states, counts, axis=0), None
         levels = rngmod.stream(config.seed, family.n_stages, rngmod.LEVELS)
-        states = config.family.lumping.lift(states, levels)
-        with np.errstate(**QUIET_LOG_Q):  # finite, as on the particle path
-            finite_log_q(config.family.log_q(states))
-            cells = config.partition.classify(states)
+        if counts is not None:  # lifted on read (module docstring)
+            lift = lumping.lift
+        else:
+            states, levels = lumping.lift(states, levels), None
+            with np.errstate(**QUIET_LOG_Q):  # finite, as on the particle path
+                finite_log_q(config.family.log_q(states))
+                cells = config.partition.classify(states)
     return RunReport(
         seed=config.seed,
         states=states,
@@ -312,6 +330,8 @@ def run(config: RunConfig) -> RunReport:
         log_z=float(sum(d.log_z_increment for d in diagnostics)),
         stage_seconds=seconds,
         resampled_trace=trace if config.record_resampled else None,
+        lift=lift,
+        levels=levels,
     )
 
 
@@ -320,16 +340,20 @@ def estimate(report: RunReport, f: Callable) -> float:
 
     On the count path f is evaluated once per state and weighted by its
     count: the mean over the expanded rows, bit for bit where f takes
-    integer values (an indicator), and to rounding otherwise.
+    integer values (an indicator), and to rounding otherwise. On the spin
+    levels f reads the N lifted ``final_states``.
     """
-    values = np.asarray(f(report.states), dtype=float)
-    if values.shape != (report.states.shape[0],):
+    states, counts = report.states, report.counts
+    if report.lift is not None:  # f reads the lifted full states
+        states, counts = report.final_states, None
+    values = np.asarray(f(states), dtype=float)
+    if values.shape != (states.shape[0],):
         raise ValueError("f must map the particle batch to one value each")
     if not np.all(np.abs(values) <= 1.0 + 1e-12):  # NaN too
         raise ValueError("estimator requires |f| <= 1")
-    if report.counts is None:
+    if counts is None:
         return float(values.mean())
-    return float(np.dot(values, report.counts) / report.counts.sum())
+    return float(np.dot(values, counts) / counts.sum())
 
 
 def cell_tracking_error(report: RunReport, catalog) -> np.ndarray:

@@ -524,15 +524,29 @@ class TestCommands:
         assert len(err.splitlines()) == 1
 
     def test_particles_below_numpy_array_size_exit_3(self, tmp_path, capsys):
-        # one particle fewer than 2**63 bytes of final rows: the allocation
-        # is refused at once (past any address space), a MemoryError
+        # one particle fewer than 2**63 bytes of d = 5 rows: the particle
+        # path's allocation is refused at once (past any address space), a
+        # MemoryError
         cfg = copy.deepcopy(ISING_CFG)
+        cfg["problem"] = {"family": "gaussian_mixture", "dimension": 5}
         cfg["algorithm"]["particles"] = (2**63 - 1) // 40
         assert main(["run-smc", "--config", str(write_cfg(tmp_path, cfg)),
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: Unable to allocate"), err
         assert len(err.splitlines()) == 1
+
+    def test_spin_levels_below_numpy_array_size_exit_0(self, tmp_path, capsys):
+        # the same N on the spin model's levels holds six counts, no rows
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["algorithm"]["particles"] = (2**63 - 1) // 40
+        out = tmp_path / "o"
+        assert main(["run-smc", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = yaml.safe_load((out / "summary.yaml").read_text())
+        assert summary["n_particles"] == (2**63 - 1) // 40
+        assert math.isclose(sum(summary["cell_occupancy"]), 1.0, rel_tol=1e-12)
 
     def test_integer_past_python_digit_limit_exits_2(self, tmp_path):
         path = tmp_path / "cfg.yaml"

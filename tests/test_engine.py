@@ -475,19 +475,29 @@ class TestWeightedPopulation:
                          np.repeat(report.states, report.counts, axis=0))
         assert same_bits(report.final_cells, np.repeat(report.cells, report.counts))
 
-    def test_particle_and_lifted_reports_hold_rows(self):
-        for target in (ising_target(5, 1.0), gaussian_mixture_target(3)):
-            fam, part = target
-            report = run(RunConfig(family=fam, partition=part, n_particles=300,
-                                   mutation_steps=3, seed=54))
-            assert report.counts is None
-            assert report.final_states is report.states
-            assert report.final_cells is report.cells
+    def test_particle_report_holds_rows(self):
+        fam, part = gaussian_mixture_target(3)
+        report = run(RunConfig(family=fam, partition=part, n_particles=300,
+                               mutation_steps=3, seed=54))
+        assert report.counts is None and report.lift is None
+        assert report.final_states is report.states
+        assert report.final_cells is report.cells
 
-    @pytest.mark.parametrize("problem", ["four_state", "path512"])
-    def test_ten_billion_particles_in_bounded_time_and_memory(self, space, problem):
-        space = space if problem == "four_state" else _two_basin_path()
-        cfg = _cfg(space, n=10**10, t=50, seed=55)
+    def test_level_report_lifts_on_read(self):
+        report = run(_spin(5, 300, 3, 54))
+        assert np.array_equal(report.states, np.arange(6))
+        assert report.counts.sum() == 300
+        rows = report.final_states
+        assert rows.shape == (300, 5) and rows.dtype == np.int8
+        assert same_bits(report.final_states, rows)  # every read, the same rows
+        levels = np.repeat(report.states, report.counts)
+        assert np.array_equal((rows > 0).sum(axis=1), levels)
+        assert same_bits(report.final_cells, np.repeat(report.cells, report.counts))
+
+    @staticmethod
+    def _bounded_run(cfg):
+        """The run's report, after asserting it took well under a second
+        and at most 1 MiB of traced allocations."""
         tracemalloc.start()
         try:
             tic = time.perf_counter()
@@ -498,9 +508,57 @@ class TestWeightedPopulation:
             tracemalloc.stop()
         assert elapsed < 1.0, elapsed
         assert peak < 2**20, peak
-        assert report.counts.sum() == 10**10
+        assert report.counts.sum() == cfg.n_particles
+        return report
+
+    @pytest.mark.parametrize("problem", ["four_state", "path512", "ising15"])
+    def test_ten_billion_particles_in_bounded_time_and_memory(self, space, problem):
+        if problem == "ising15":  # spin-flip symmetry: each cell holds 1/2
+            cfg, probs = _spin(15, 10**10, 50, 55), np.array([0.5, 0.5])
+        else:
+            space = space if problem == "four_state" else _two_basin_path()
+            cfg = _cfg(space, n=10**10, t=50, seed=55)
+            probs = space.cell_probs(space.n_stages)
+        report = self._bounded_run(cfg)
+        assert report.counts.size == report.states.size <= 512  # O(m) numbers
         frac = np.bincount(report.cells, weights=report.counts) / 10**10
-        assert np.all(np.abs(frac - space.cell_probs(space.n_stages)) < 1e-3)
+        assert np.all(np.abs(frac - probs) < 1e-3)
+
+    def test_gate_one_bound_in_bounded_time_and_memory(self):
+        # the theorem's N and t at gate 1's config (d = 15, alpha = 1,
+        # epsilon = 0.05): 16 level counts, where spin rows would need 365 GiB
+        report = self._bounded_run(_spin(15, 26_100_000_000, 638, 58))
+        assert report.states.size == report.counts.size == 16
+        frac = np.bincount(report.cells, weights=report.counts) / 26_100_000_000
+        assert np.all(np.abs(frac - 0.5) < 1e-3)
+
+    @pytest.mark.parametrize("restricted", [True, False])
+    @pytest.mark.parametrize("d", [5, 15])
+    def test_level_reads_draw_no_stream_and_call_no_problem(self, monkeypatch, d,
+                                                            restricted):
+        # a read after the run opens no RNG stream and calls neither log_q
+        # nor classify, so a tracer's op span holds every call they make
+        cfg = _spin(d, 2000, 5, 59, restricted=restricted)
+        armed = []
+
+        def tripwire(fn):
+            def wrapped(*args):
+                assert not armed, "called after the run returned"
+                return fn(*args)
+            return wrapped
+
+        family = dataclasses.replace(cfg.family, log_q=tripwire(cfg.family.log_q))
+        partition = dataclasses.replace(cfg.partition,
+                                        classify=tripwire(cfg.partition.classify))
+        report = run(dataclasses.replace(cfg, family=family, partition=partition))
+        monkeypatch.setattr(rngmod, "stream", tripwire(rngmod.stream))
+        armed.append(True)
+        rows = report.final_states
+        assert same_bits(report.final_states, rows)
+        assert same_bits(report.final_cells, cfg.partition.classify(rows))
+        for f in (lambda x: (x[:, 0] > 0).astype(float),
+                  lambda x: np.tanh(0.3 * x[:, :3].sum(axis=1))):
+            assert same_bits(estimate(report, f), float(f(rows).mean()))
 
     def test_occupancies_exact_past_float_precision(self, space):
         # 2**60 - 1 particles: float64 weights would drop the low bits

@@ -12,18 +12,29 @@ bytes on purpose records new digests here, printed by
     PYTHONPATH=src python tests/test_output_digests.py
 
 and says in CHANGES.md which bytes moved and why.
+
+The CLI dumps YAML with libyaml's emitter where PyYAML has it; two more
+tests check that PyYAML's own emitter gives the same text on every case,
+and that the CLI falls back to it and writes the same files without
+libyaml.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import modesmc.cli
 from modesmc.cli import main
+
+TESTS = Path(__file__).resolve().parent
 
 _SMC = {"method": "smc", "particles": 300, "mutation_steps": 4, "seed": 11}
 _PT = {"method": "pt", "sweeps": 300, "seed": 12}
@@ -51,6 +62,13 @@ CASES = {
         "run-smc", [],
         {"problem": _ISING,
          "algorithm": {**_SMC, "restricted": False, "replicates": 2}},
+    ),
+    # the theorem's N and t at gate 1's config, run on 16 level counts
+    "smc-ising-paper-n": (
+        "run-smc", [],
+        {"problem": {**_ISING, "dimension": 15},
+         "algorithm": {**_SMC, "particles": 26_100_000_000,
+                       "mutation_steps": 638}},
     ),
     "pt-four-state": ("run-pt", [], {"problem": _FOUR, "algorithm": _PT}),
     "pt-ising": ("run-pt", [], {"problem": _ISING, "algorithm": _PT}),
@@ -99,6 +117,12 @@ DIGESTS = {
             'e8b3f43ed5f19243dbbe693b4e0b16bc60b181dbccc2cd581b7822385851699b',
         'summary.yaml':
             '3ab2775ad8c39df467e3e9065f422a326d177b50d51666dafa459d5a9766457a',
+    },
+    'smc-ising-paper-n': {
+        'diagnostics.csv':
+            '3ed55629ea0b59f150da80d2db71773cac8cd45ec01256a98f953e30a30ec923',
+        'summary.yaml':
+            'aa083373463aa973d02b2fb063c3d10090c87bb553818e8e46a667ff531cc93d',
     },
     'pt-four-state': {
         'summary.yaml':
@@ -166,6 +190,55 @@ def run_case(name: str, tmp: Path) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_unchanged(name, tmp_path):
     assert run_case(name, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"),
+                    reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_c_and_python_emitters_agree(name, tmp_path, monkeypatch):
+    # every YAML the CLI dumps (config hash, summary.yaml, bounds.yaml and
+    # the printed summary) reads the same from libyaml's emitter and
+    # PyYAML's own
+    dumped = []
+
+    def both(data):
+        texts = [yaml.dump(data, Dumper=d, sort_keys=True)
+                 for d in (yaml.SafeDumper, yaml.CSafeDumper)]
+        dumped.append(data)
+        assert texts[0] == texts[1]
+        return texts[0]
+
+    monkeypatch.setattr(modesmc.cli, "_dump", both)
+    run_case(name, tmp_path)
+    assert dumped or name == "verify-quick"
+
+
+_WITHOUT_LIBYAML = """
+import json, sys
+from pathlib import Path
+import yaml
+vars(yaml).pop("CSafeDumper", None)  # as where PyYAML lacks libyaml
+import modesmc.cli
+import test_output_digests as t
+assert modesmc.cli._DUMPER is yaml.SafeDumper
+tmp = Path(sys.argv[1])
+out = {}
+for name in t.CASES:
+    (tmp / name).mkdir()
+    out[name] = t.run_case(name, tmp / name)
+print(json.dumps(out))
+"""
+
+
+def test_pure_python_emitter_writes_the_same_bytes(tmp_path):
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_LIBYAML, str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == DIGESTS
 
 
 if __name__ == "__main__":  # print the DIGESTS table of this source tree
