@@ -51,7 +51,9 @@ from .engine import (
     RunReport,
     WeightCollapseError,
     cell_tracking_error,
+    reduced_problem,
     run,
+    takes_counts,
 )
 from .families import (
     InvalidStateError,
@@ -289,9 +291,12 @@ def _provenance(cfg: dict) -> dict:
     return {"config_hash": config_hash(cfg), "seed": seed, "version": __version__}
 
 
-def _particle_count(n: int, family) -> int:
-    """n, unless N rows of d 8-byte numbers reach the 2**63 bytes numpy
-    refuses outright (below that a refusal is a MemoryError, exit 3)."""
+def _particle_count(n: int, family, partition) -> int:
+    """n, unless the run steps particle rows and N rows of d 8-byte numbers
+    reach the 2**63 bytes numpy refuses outright (below that a refusal is a
+    MemoryError, exit 3). A count-path run holds no row."""
+    if takes_counts(reduced_problem(family, partition)[0]):
+        return n
     if n * max(family.dimension, 1) * 8 >= 2**63:
         msg = f"times dimension times 8 bytes must be below 2**63, got {_shown(n)}"
         raise ConfigError("algorithm.particles", msg)
@@ -313,7 +318,9 @@ def run_smc_from_config(cfg: dict, threads: int, out_dir: Path):
     config = RunConfig(
         family=family,
         partition=partition,
-        n_particles=_particle_count(_require(cfg, "algorithm", "particles"), family),
+        n_particles=_particle_count(
+            _require(cfg, "algorithm", "particles"), family, partition
+        ),
         mutation_steps=_require(cfg, "algorithm", "mutation_steps"),
         seed=summary["seed"],
         step_size=algo.get("step_size"),
@@ -381,7 +388,7 @@ def _st_pseudo_priors(cfg, family, partition):
     config = RunConfig(
         family=family,
         partition=partition,
-        n_particles=_particle_count(algo.get("particles", 1000), family),
+        n_particles=_particle_count(algo.get("particles", 1000), family, partition),
         mutation_steps=algo.get("mutation_steps", 20),
         seed=_require(cfg, "algorithm", "seed"),
     )

@@ -19,11 +19,15 @@ per particle and ``counts`` is None. On the count path, for an index family
 of at most ``COUNT_PATH_MAX_STATES`` states, ``states`` holds each state
 once and ``counts`` its particles. Given the counts the particles are
 exchangeable and every recorded quantity is symmetric in them, so both
-have one law. Only resampling (particle rows, or a multinomial over
-states) and mutation (``mutate``, or ``mutate_counts``: on a short path
-one multinomial draw a state over its row of the exact t-step matrix, at
-a cost that does not grow with t, and otherwise two binomial draws per
-step over all states; neither grows with N) differ. The run
+have one law. Only resampling and mutation differ. On the particle path
+resampling picks N rows and ``mutate`` moves them. On the count path
+resampling draws only the p cell totals n ~ Multinomial(N, p_hat), with
+each cell's share of the resampling law (``_resample``). Given those, the
+n_j particles of cell j are i.i.d. draws from its share and move
+independently, so ``mutate_counts`` carries each share t steps forward
+with no randomness (by the t-step matrix on short paths, by t banded
+vector steps otherwise) and draws cell j's particles from its carried law
+with one multinomial. A stage's draws depend on neither t nor N. The run
 returns its population as it is (``RunReport``): on the count path each
 state once with its count, so a run at N = 1e10 holds O(m) numbers.
 ``final_states`` and ``final_cells`` expand it to N rows, ordered by
@@ -35,23 +39,23 @@ that draws a full state uniformly given its reduced one (the spin model's
 magnetisation levels and the Gaussian mixture's (s, r) rows; each family's
 constructor in ``families`` gives its exactness argument). The engine runs
 the reduced family iff the partition declares its cells there with a
-reduced form that names the family's own ``Lumping`` (``Partition.reduced``,
-matched by identity) and, for an enumerated reduced family, it fits the
-count path; otherwise the full family runs as given. Weights and cells are
-functions of the reduced states, so a lumped run has the full run's law:
-log z, every diagnostic and the final reduced states. The final states
-are lifted from the LEVELS stream of stage V. Reduced rows (the Gaussian
-(s, r) rows) are lifted in ``run`` and classified by the full partition;
-their log q must be finite, as every state on the particle path is. A
-count-path run (the spin levels) returns its level population and that
-stream unused, and ``final_states`` lifts the expanded level rows from a
-copy of it on each read, so a run at the paper's N holds O(d) numbers and
-every read gives the same rows. Its ``final_cells`` are the level cells
-expanded, which the reduced form declares to be the lifted rows' cells; a
-level's rows share its log q, checked finite when the run starts.
-Siblings of a resampled parent are independent here, not on the full
-path: only the joint law of the final states differs, and ``estimate``
-keeps its mean for any f.
+reduced form that names the family's own ``Lumping``
+(``Partition.reduced``, matched by identity) and, for an enumerated
+reduced family, it fits the count path (``reduced_problem``); otherwise
+the full family runs as given. Weights and cells are functions of the
+reduced states, so a lumped run has the full run's law: log z, every
+diagnostic and the final reduced states. The final states are lifted from
+the LEVELS stream of stage V. Reduced rows (the Gaussian (s, r) rows) are
+lifted in ``run`` and classified by the full partition; their log q must
+be finite, as every state on the particle path is. A count-path run (the
+spin levels) returns its level population and that stream unused, and
+``final_states`` lifts the expanded level rows from a copy of it on each
+read, so a run at the paper's N holds O(d) numbers and every read gives
+the same rows. Its ``final_cells`` are the level cells expanded, which the
+reduced form declares to be the lifted rows' cells; a level's rows share
+its log q, checked finite when the run starts. Siblings of a resampled
+parent are independent here, not on the full path: only the joint law of
+the final states differs, and ``estimate`` keeps its mean for any f.
 
 Output is a pure function of (config, seed): all randomness comes from
 counter-based per-(stage, phase) Philox streams, and mutation noise comes
@@ -72,7 +76,7 @@ import numpy as np
 from . import rng as rngmod
 from .families import QUIET_LOG_Q, AnnealedFamily, InvalidStateError, Partition
 from .families import finite_log_q
-from .kernels import stage_kernel
+from .kernels import multinomial_counts, stage_kernel
 
 COUNT_PATH_MAX_STATES = 2048
 
@@ -92,7 +96,12 @@ class RunConfig:
     docstring). ``record_resampled`` keeps each stage's per-state counts
     after its resampling draw; it needs an index population (the count or
     particle path of an index family, lumped levels included), and any
-    other run raises ValueError before its first draw."""
+    other run raises ValueError before its first draw. On the count path
+    the draw gives only the cell totals, and the trace splits each total
+    over its cell's share of the resampling law, drawn last from the same
+    RESAMPLE stream: a traced run equals an untraced one, and each stage's
+    trace has the resampled counts' law given the run so far, but these
+    counts are not the ancestors of the moved population."""
 
     family: AnnealedFamily
     partition: Partition
@@ -136,7 +145,8 @@ class RunReport:
     every read, so each read gives the same full states (module
     docstring). ``resampled_trace`` is None unless ``record_resampled``,
     and otherwise holds one int64 count vector over the run's index states
-    for each stage v = 1..V.
+    for each stage v = 1..V (on the count path a draw from the resampled
+    counts' law, not the moved particles' ancestors; ``RunConfig``).
     """
 
     seed: int
@@ -211,17 +221,22 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
     """Stage diagnostics and the multinomial resampling draw of a population.
 
     ``log_mass`` is the log weight of each particle (``counts`` None) or of
-    each state's whole count. The draw picks N particle rows, or N states
-    into new counts. Returns the resampled (states, cells, counts) and the
-    stage's diagnostics; all-zero weights raise WeightCollapseError, and a
-    cell weight sum past float range raises InvalidStateError.
+    each state's whole count. On the particle path the draw picks N rows
+    and returns them as (states, cells). On the count path it draws the p
+    cell totals n ~ Multinomial(N, p_hat) and returns them with the
+    resampling law's share in each cell, as (laws, totals): row j of the
+    (p, m) array ``laws`` is that law restricted to cell j and normalised
+    (zeros where n_j = 0), so the resampled particles of cell j are n_j
+    i.i.d. draws from it. Returns that pair and the stage's diagnostics;
+    all-zero weights raise WeightCollapseError, and a cell weight sum past
+    float range raises InvalidStateError.
     """
     log_total = _logsumexp(log_mass)
     if not np.isfinite(log_total):
         raise WeightCollapseError(stage)
     log_cell = np.full(p, -np.inf)
-    for j in range(p):
-        mask = cells == j
+    masks = [cells == j for j in range(p)]
+    for j, mask in enumerate(masks):
         if mask.any():
             log_cell[j] = _logsumexp(log_mass[mask])
     with np.errstate(over="ignore"):
@@ -229,53 +244,66 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
     if not np.all(np.isfinite(w_hat)):  # log z stays finite; w_hat cannot
         raise InvalidStateError(f"stage {stage} weight sum past float range")
     before = _histogram(cells, counts, p)
+    probs = np.exp(log_cell - log_total)
     if counts is None:
-        probs = np.exp(log_mass - log_mass.max())
-        idx = gen.choice(n, size=n, p=probs / probs.sum())
-        states, cells = states[idx], cells[idx]
+        pick = np.exp(log_mass - log_mass.max())
+        idx = gen.choice(n, size=n, p=pick / pick.sum())
+        drawn = states[idx], cells[idx]
+        after = _histogram(drawn[1], None, p)
     else:
-        pick = np.exp(log_mass - log_total)
-        counts = gen.multinomial(n, pick / pick.sum())
+        after = gen.multinomial(n, probs / probs.sum())
+        laws = np.zeros((p, cells.size))
+        for j in np.flatnonzero(after):
+            laws[j, masks[j]] = np.exp(log_mass[masks[j]] - log_cell[j])
+        drawn = laws, after
     diag = StepDiagnostics(
         stage=stage,
         cell_weight_sums=w_hat,
-        resample_probs=np.exp(log_cell - log_total),
+        resample_probs=probs,
         occupancy_before=before,
-        occupancy_after=_histogram(cells, counts, p),
+        occupancy_after=after,
         log_z_increment=float(log_total - np.log(n)),
     )
-    return states, cells, counts, diag
+    return drawn, diag
 
 
-def _initial_counts(family):
-    """The count path's states and their stage-0 log masses, or None for a
-    family that runs on particles (module docstring)."""
-    base = family.index_log_mass
-    if family.kind != "index" or base.size > COUNT_PATH_MAX_STATES:
-        return None
-    with np.errstate(**QUIET_LOG_Q):
-        lm0 = family.index_log_mult + family.betas[0] * finite_log_q(base)
-    return np.arange(base.size), lm0
+def takes_counts(family) -> bool:
+    """Whether ``run`` steps ``family`` on the count path: an index family
+    of at most ``COUNT_PATH_MAX_STATES`` states (module docstring)."""
+    return family.kind == "index" and family.index_log_mass.size <= COUNT_PATH_MAX_STATES
+
+
+def reduced_problem(family: AnnealedFamily, partition: Partition):
+    """The (family, partition, lumping) that ``run`` steps: the family's
+    ``Lumping`` with its reduced family and the partition's reduced form
+    where the partition declares one that names that lumping and, for an
+    enumerated reduced family, it fits the count path; otherwise the
+    given pair and None (module docstring)."""
+    lumping, reduced = family.lumping, partition.reduced
+    if (
+        lumping is None
+        or reduced is None
+        or reduced.lumping is not lumping
+        or (lumping.family.kind == "index" and not takes_counts(lumping.family))
+    ):
+        return family, partition, None
+    return lumping.family, reduced, lumping
 
 
 def run(config: RunConfig) -> RunReport:
     """Execute a full run; deterministic given the config (incl. seed)."""
-    family, partition, n = config.family, config.partition, config.n_particles
-    lumping = family.lumping
-    if partition.reduced is None or partition.reduced.lumping is not lumping:
-        lumping = None  # a reduced form runs only with the lumping it names
-    reduced = family if lumping is None else lumping.family
-    if reduced.kind == "index" and reduced.index_log_mass.size > COUNT_PATH_MAX_STATES:
-        lumping = None  # an enumerated reduced family must fit the count path
-    if lumping is not None:  # run on the reduced states (module docstring)
-        family, partition = lumping.family, partition.reduced
+    family, partition, lumping = reduced_problem(config.family, config.partition)
+    n, t = config.n_particles, config.mutation_steps
     restrict = partition if config.restricted else None
     if config.record_resampled and family.kind != "index":
         raise ValueError("record_resampled needs an index population")
     gen = rngmod.stream(config.seed, 0, rngmod.INIT)
-    start = _initial_counts(family)
-    if start is not None:
-        states, lm0 = start
+    if takes_counts(family):
+        states = np.arange(family.index_log_mass.size)
+        with np.errstate(**QUIET_LOG_Q):
+            lm0 = family.index_log_mult + family.betas[0] * finite_log_q(
+                family.index_log_mass
+            )
         probs0 = np.exp(lm0 - lm0.max())
         counts = gen.multinomial(n, probs0 / probs0.sum())
     else:
@@ -290,26 +318,27 @@ def run(config: RunConfig) -> RunReport:
             with np.errstate(divide="ignore"):
                 log_mass += np.log(counts)  # -inf on empty states
         gen = rngmod.stream(config.seed, v, rngmod.RESAMPLE)
-        states, cells, counts, diag = _resample(
+        drawn, diag = _resample(
             v, n, log_mass, states, cells, counts, gen, partition.n_cells
         )
         diagnostics.append(diag)
-        if config.record_resampled:
-            trace.append(_histogram(states, counts, family.index_log_mass.size))
         kernel = stage_kernel(family, v, step_size=config.step_size)
-        gen = rngmod.stream(config.seed, v, rngmod.MUTATE)
         if counts is None:
+            states, cells = drawn
+            if config.record_resampled:
+                trace.append(_histogram(states, None, family.index_log_mass.size))
+            gen = rngmod.stream(config.seed, v, rngmod.MUTATE)
             states = kernel.mutate(
-                states, config.mutation_steps, gen, cells=cells,
-                partition=restrict, workers=config.workers,
+                states, t, gen, cells=cells, partition=restrict, workers=config.workers
             )
             if restrict is None:
                 with np.errstate(**QUIET_LOG_Q):
                     cells = partition.classify(states)
         else:
-            counts = kernel.mutate_counts(
-                counts, config.mutation_steps, gen, partition=restrict
-            )
+            if config.record_resampled:  # the last draw from this stream
+                trace.append(multinomial_counts(*drawn, gen))
+            gen = rngmod.stream(config.seed, v, rngmod.MUTATE)
+            counts = kernel.mutate_counts(*drawn, t, gen, partition=restrict)
         seconds.append(time.perf_counter() - tic)
     lift = levels = None
     if lumping is not None:  # a uniform full state of each reduced one

@@ -46,30 +46,35 @@ neighbour walk's integer rows on a 4096-state path (0.87x at N = 5000, t =
 kernel runs its blocks on one thread whatever ``workers`` is; the noise is
 per block, so the output is the same either way.
 
-The count step (``DiscreteNeighborWalk.mutate_counts``) advances the
-per-state counts of an m-state path t steps. Given the counts, particles
-move independently (Del Moral 2004), so the t steps of a stage are one
-multinomial draw per state over its row of the exact t-step matrix K^t,
-at a cost that does not grow with t; the banded step takes two binomial
-calls per step. It takes the t-step draw iff t > 1 and m^2 ceil(log2 t) <=
-C t, C = ``_T_STEP_COST``: the ratio of the banded step's O(t m) to the
-matrix power's O(m^3 log t) where m is large. Median ms per call, banded
-against t-step, on a two-cell restricted path with N = 2000 (N = 1e7
-alike; numpy 2.4, OpenBLAS, 2-core VM):
+The count step (``DiscreteNeighborWalk.mutate_counts``) moves totals[j]
+particles drawn i.i.d. from each row law laws[j] on an m-state path (on
+the count path, a cell's share of the resampling law). They move
+independently (Del Moral 2004), so it carries each row to laws[j] K^t
+with no randomness and draws its particles with one multinomial: its
+draws do not depend on t. It carries the rows by ``matrix_power(P, t)``
+iff t > 1 and m^3 ceil(log2 t) <= C t, C = ``_T_STEP_COST`` (the matrix
+power's O(m^3 log t) against t banded vector steps' O(t m)), else by the
+banded steps. Median ms per call, matrix / banded route, each forced, two
+cells of 4e6 and 6e6 particles on a restricted path, draws included
+(numpy 2.4, OpenBLAS default threads, 2-core VM):
 
-    m \\ t        1            2            5           50          638
-     16   0.05 / 0.07  0.06 / 0.07  0.12 / 0.08  1.00 / 0.08  13.7 / 0.10
-     64   0.05 / 0.09  0.08 / 0.12  0.18 / 0.15  1.57 / 0.23  27.0 / 0.42
-    128   0.09 / 0.21  0.14 / 0.33  0.30 / 0.51  2.71 / 1.02  34.5 / 1.75
-    256   0.11 / 0.52  0.18 / 1.68  0.38 / 2.85  3.45 / 5.43  28.7 / 9.34
-    512   0.10 / 1.50  0.20 / 5.95  0.39 / 10.5  3.60 / 26.9  61.8 / 45.0
+    m \\ t       2              5             50            100            638
+      4  0.050 / 0.043  0.039 / 0.060  0.043 / 0.345  0.045 / 0.658  0.055 / 4.02
+     64  0.054 / 0.050  0.069 / 0.068  0.103 / 0.367  0.113 / 0.699  0.178 / 4.32
+     96  0.078 / 0.052  0.127 / 0.073  0.230 / 0.382  0.257 / 0.730  0.439 / 4.49
+    128  16.0  / 0.057  0.346 / 0.142  0.935 / 0.751  1.025 / 1.458  1.487 / 8.80
+    160  0.419 / 0.100  0.725 / 0.142  1.397 / 0.403  1.132 / 0.752  2.078 / 4.75
+    256  0.752 / 0.070  2.174 / 0.095  3.719 / 0.428  4.275 / 0.840  8.441 / 4.99
+    512  4.589 / 0.103  10.03 / 0.130  20.99 / 0.541  27.33 / 0.967  47.31 / 9.72
 
-At t = 1 the banded step always wins. The t-step draw lost where
-m^2 ceil(log2 t) / t was 7864 and more, and won where it was 1966 and
-less at t >= 50; at 4109 (m = 512, t = 638) it won in this table and lost
-by 12% in an earlier one. C = 3000 sits at the low end of that band,
-because a product of m >= 65 runs on OpenBLAS's threads, which on the
-2-core VM sometimes waited ~16 ms a product after an idle spell.
+The banded route took 0.72 and 1.42 ms at t = 50 at m = 1024 and 2048.
+The matrix route wins from t = 5 up to m = 64 (ties below), from t = 50
+at m = 96, from t = 100 and 200 at m = 128 and 160, and nowhere from m =
+256. C = 2e5 powers m <= 73 at t = 2, 118 at t = 50 and 233 at t = 638.
+Products of m >= 65 run on OpenBLAS's threads, which on the 2-core VM
+sometimes stall: the m = 128 matrix route took 16 ms at t = 2 in this
+table, and a median 68 ms at t = 50 in one of three runs of 20 calls
+after a 10 ms idle (0.84 and 1.26 ms in the other two).
 
 Restriction follows the refuse-leaving-moves construction: a full base
 step is simulated and the result is discarded (the particle stays put)
@@ -100,7 +105,7 @@ def default_step_variance(sigma: float, beta: float, d: int) -> float:
 
 
 _BLOCK = 1024  # rows per noise block; see the module docstring
-_T_STEP_COST = 3000  # the count step's crossover; see the module docstring
+_T_STEP_COST = 200_000  # the count step's crossover; see the module docstring
 
 
 def _chunks(n: int, workers: int):
@@ -136,33 +141,36 @@ def _birth_death_band(log_mass, down_pick, up_pick, labels=None):
 
 
 def _takes_t_step(m, t):
-    """Whether ``mutate_counts`` draws t steps of an m-state path at once,
-    from the t-step matrix: iff t > 1 and m m ceil(log2 t) <= _T_STEP_COST t
-    (module docstring)."""
-    return t > 1 and m * m * (int(t) - 1).bit_length() <= _T_STEP_COST * t
+    """Whether ``mutate_counts`` takes the t-step matrix (module docstring)."""
+    return t > 1 and m**3 * (int(t) - 1).bit_length() <= _T_STEP_COST * t
 
 
-def _birth_death_counts(counts, down, up, t, rng):
-    """Advance per-state counts t steps of the birth-death band (down, up).
-
-    Given the counts, particles move independently, so the c particles at
-    state i split exactly, by the multinomial's conditionals, as L ~ Bin(c,
-    down[i]) left, then R ~ Bin(c - L, up[i] / (1 - down[i])) right: two
-    calls per step, vectorised over all states. That conditional is
-    clipped to [0, 1] (down + up = 1 can round it to 1 + 2**-52) and is 0
-    where down == 1.
-    """
-    counts = np.asarray(counts, dtype=np.int64).copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up_rest = np.clip(up / (1.0 - down), 0.0, 1.0)
-    up_rest[down == 1.0] = 0.0
+def _banded_laws(laws, down, up, t):
+    """Each row law q of ``laws`` carried t steps, q <- q K, of the band
+    (down, up); no mass crosses a refused move, of probability 0."""
+    stay = 1.0 - (down + up)
+    down, up = down[1:], up[:-1]
+    q = np.array(laws, dtype=float)
+    nxt = np.empty_like(q)
     for _ in range(t):
-        left = rng.binomial(counts, down)
-        right = rng.binomial(counts - left, up_rest)
-        counts -= left + right
-        counts[:-1] += left[1:]
-        counts[1:] += right[:-1]
-    return counts
+        np.multiply(q, stay, out=nxt)
+        nxt[:, :-1] += q[:, 1:] * down
+        nxt[:, 1:] += q[:, :-1] * up
+        q, nxt = nxt, q
+    return q
+
+
+def multinomial_counts(laws, totals, rng):
+    """Per-state counts of totals[j] i.i.d. draws from each row law laws[j]:
+    one multinomial a row, over the states where its law is positive, so
+    numpy's leftover (to the last category) stays on that support. Rows are
+    drawn normalised: a t-step matrix's row sums drift by about t 1e-18."""
+    out = np.zeros(np.shape(laws)[1], dtype=np.int64)
+    for law, n in zip(laws, totals):
+        if n:
+            support = np.flatnonzero(law > 0)
+            out[support] += rng.multinomial(n, law[support] / law[support].sum())
+    return out
 
 
 class _Metropolis:
@@ -414,29 +422,18 @@ class DiscreteNeighborWalk(_Metropolis):
         P[i, i + 1] = up[:-1]
         return P
 
-    def mutate_counts(self, counts, t, rng, partition=None):
-        """Advance per-state counts t steps (law-equivalent to mutate).
-
-        Where ``_takes_t_step`` picks it, the t steps are one multinomial
-        draw a state over its row of the exact t-step matrix, one call per
-        closed block (a maximal run of states between edges that no move
-        crosses: every cell edge under restriction), each block's rows
-        normalised, so numpy's leftover stays in the block; otherwise t
-        banded steps (``_birth_death_counts``).
-        """
-        if not _takes_t_step(self.n_states, t):
-            return _birth_death_counts(counts, *self.band(partition), t, rng)
-        P = self.transition_matrix(partition)
-        shut = (np.diag(P, 1) == 0.0) & (np.diag(P, -1) == 0.0)
-        edges = [0, *(np.flatnonzero(shut) + 1), self.n_states]
-        Pt = np.linalg.matrix_power(P, t)  # exact zeros across shut edges
-        counts = np.asarray(counts, dtype=np.int64)
-        out = np.empty_like(counts)
-        for a, b in zip(edges[:-1], edges[1:]):
-            rows = Pt[a:b, a:b]
-            rows /= rows.sum(axis=1, keepdims=True)
-            out[a:b] = rng.multinomial(counts[a:b], rows).sum(axis=0)
-        return out
+    def mutate_counts(self, laws, totals, t, rng, partition=None):
+        """Per-state counts of totals[j] particles drawn i.i.d. from each
+        row law laws[j] (a (k, m) array) and moved t steps, the law of
+        ``mutate`` on them: each row carried to laws[j] K^t, then drawn
+        from ``rng`` (module docstring). Under restriction a row that
+        starts in one cell keeps exact zeros outside it."""
+        if _takes_t_step(self.n_states, t):
+            P = self.transition_matrix(partition)
+            laws = laws @ np.linalg.matrix_power(P, t)
+        elif t > 0:
+            laws = _banded_laws(laws, *self.band(partition), t)
+        return multinomial_counts(laws, totals, rng)
 
 
 @dataclass(frozen=True)

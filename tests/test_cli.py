@@ -516,6 +516,7 @@ class TestCommands:
         # 2**62 rows of 5 numbers of 8 bytes are 2**62 * 40 bytes, and numpy
         # refuses any array of 2**63 bytes or more
         cfg = copy.deepcopy(ISING_CFG)
+        cfg["problem"] = {"family": "gaussian_mixture", "dimension": 5}
         cfg["algorithm"].update({"method": method, "particles": 2**62, "sweeps": 3})
         assert main([f"run-{method}", "--config", str(write_cfg(tmp_path, cfg)),
                      "--out", str(tmp_path / "o")]) == 2
@@ -547,6 +548,23 @@ class TestCommands:
         summary = yaml.safe_load((out / "summary.yaml").read_text())
         assert summary["n_particles"] == (2**63 - 1) // 40
         assert math.isclose(sum(summary["cell_occupancy"]), 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("method", ["smc", "st"])
+    def test_spin_levels_past_row_size_exit_0(self, tmp_path, capsys, method):
+        # d = 15 spin rows of this N would pass 2**63 bytes, but the run
+        # steps 16 level counts and builds no row
+        cfg = copy.deepcopy(ISING_CFG)
+        cfg["problem"]["dimension"] = 15
+        cfg["algorithm"].update(
+            {"method": method, "particles": (2**63 - 1) // 40, "sweeps": 3}
+        )
+        out = tmp_path / "o"
+        assert main([f"run-{method}", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if method == "smc":
+            summary = yaml.safe_load((out / "summary.yaml").read_text())
+            assert summary["n_particles"] == (2**63 - 1) // 40
 
     def test_integer_past_python_digit_limit_exits_2(self, tmp_path):
         path = tmp_path / "cfg.yaml"

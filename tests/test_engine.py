@@ -117,7 +117,10 @@ def _resample_weights(states, cells, w, gen, part):
     """The engine's stage-1 resampling step on particle weights w (not log)."""
     with np.errstate(divide="ignore"):
         logw = np.log(np.asarray(w, dtype=float))
-    return _resample(1, states.shape[0], logw, states, cells, None, gen, part.n_cells)
+    (states, cells), diag = _resample(
+        1, states.shape[0], logw, states, cells, None, gen, part.n_cells
+    )
+    return states, cells, None, diag
 
 
 class TestResample:
@@ -193,14 +196,19 @@ class TestResampleCounts:
                          part.n_cells)
 
     def test_counts_and_occupancies_sum_to_n(self, space):
+        # the draw is the cell totals, with each cell's share of the
+        # resampling law: a law on the cell's occupied states
         n = 1_000
         for counts in ([250, 250, 250, 250], [0, 1_000, 0, 0], [1, 0, 0, 999]):
-            states, _, new_counts, diag = self._draw(space, n, counts)
-            assert np.array_equal(states, np.arange(space.n_states))
-            assert new_counts.sum() == n
-            assert np.all(new_counts[np.asarray(counts) == 0] == 0)
+            (laws, totals), diag = self._draw(space, n, counts)
+            assert laws.shape == (2, space.n_states) and totals.sum() == n
+            assert np.array_equal(diag.occupancy_after, totals)
+            for j in (0, 1):
+                if totals[j]:
+                    assert math.isclose(laws[j].sum(), 1.0, rel_tol=1e-12)
+                assert not np.any(laws[j][space.labels != j])
+            assert not np.any(laws[:, np.asarray(counts) == 0])
             assert diag.occupancy_before.sum() == n
-            assert diag.occupancy_after.sum() == n
             assert np.array_equal(diag.occupancy_before,
                                   np.bincount(space.labels, weights=counts,
                                               minlength=2))
@@ -604,6 +612,125 @@ class TestCellTracking:
         report = run(_cfg(space, n=50_000, t=20, seed=43))
         errs = cell_tracking_error(report, space)
         assert errs.max() < 0.02
+
+
+def _compositions(n, m):
+    """Every m-tuple of nonnegative integers summing to n."""
+    if m == 1:
+        return [(n,)]
+    return [(k, *rest) for k in range(n + 1) for rest in _compositions(n - k, m - 1)]
+
+
+def _multinomial_pmf(c, p):
+    out = math.factorial(sum(c))
+    for k, q in zip(c, p):
+        out *= q**k / math.factorial(k)
+    return out
+
+
+class TestExactStageLaw:
+    """The joint law of (INIT counts, stage-1 ``occupancy_after``, stage-1
+    counts) on the reference four-state space's first stage at N = 3,
+    enumerated in plain Python, against 4000 seeds of each engine path by
+    a chi-square over the outcomes with expected count >= 5 (the rest
+    pooled into one bin), accepted at p > 1e-3."""
+
+    PI = (0.4, 0.1, 0.2, 0.3)
+    CELLS = (0, 0, 1, 1)
+    N, SEEDS = 3, 4000
+
+    def _problem(self):
+        # stage 0 proportional to pi^(1/4) and stage 1 to pi^(1/2): the
+        # reference ladder's first two rungs
+        fam = index_family(0.5 * np.log(self.PI), betas=(0.5, 1.0))
+        return fam, index_partition(np.array(self.CELLS))
+
+    def _kernel(self, restricted):
+        """The stage-1 walk: each neighbour proposed with 1/2, accepted
+        with min(1, mass ratio); moves off the path, or across a cell edge
+        when restricted, stay."""
+        mass = [p**0.5 for p in self.PI]
+        K = [[0.0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in (i - 1, i + 1):
+                if 0 <= j < 4 and not (restricted and self.CELLS[j] != self.CELLS[i]):
+                    K[i][j] = 0.5 * min(1.0, mass[j] / mass[i])
+            K[i][i] = 1.0 - sum(K[i])
+        return K
+
+    def _exact(self, restricted, t):
+        K = self._kernel(restricted)
+        start = [p**0.25 for p in self.PI]
+        start = [x / sum(start) for x in start]
+        weight = [p**0.25 for p in self.PI]  # pi^(1/2) / pi^(1/4)
+        law = {}
+        for c0 in _compositions(self.N, 4):
+            p0 = _multinomial_pmf(c0, start)
+            r = [c * w for c, w in zip(c0, weight)]
+            total = sum(r)
+            p_cell = [sum(x for x, c in zip(r, self.CELLS) if c == j) / total
+                      for j in (0, 1)]
+            moved = []  # each cell's share of r, carried t steps
+            for j in (0, 1):
+                q = [x / (p_cell[j] * total) if c == j else 0.0
+                     for x, c in zip(r, self.CELLS)] if p_cell[j] else [0.0] * 4
+                for _ in range(t):
+                    q = [sum(q[i] * K[i][k] for i in range(4)) for k in range(4)]
+                moved.append(q)
+            for n0 in range(self.N + 1):
+                n = (n0, self.N - n0)
+                pn = _multinomial_pmf(n, p_cell)
+                if pn == 0.0:
+                    continue
+                for a in _compositions(n[0], 4):
+                    pa = _multinomial_pmf(a, moved[0])
+                    for b in _compositions(n[1], 4):
+                        c1 = tuple(x + y for x, y in zip(a, b))
+                        key = (c0, n, c1)
+                        pb = _multinomial_pmf(b, moved[1])
+                        law[key] = law.get(key, 0.0) + p0 * pn * pa * pb
+        return law
+
+    def _sample(self, monkeypatch, path, restricted, t):
+        _take_path(monkeypatch, path)
+        fam, part = self._problem()
+        init = []
+
+        def spy(stage, n, log_mass, states, cells, counts, gen, p):
+            init.append(tuple(np.bincount(states, minlength=4)) if counts is None
+                        else tuple(counts))
+            return _resample(stage, n, log_mass, states, cells, counts, gen, p)
+
+        monkeypatch.setattr(modesmc.engine, "_resample", spy)
+        seen = {}
+        for s in range(self.SEEDS):
+            report = run(RunConfig(family=fam, partition=part, n_particles=self.N,
+                                   mutation_steps=t, restricted=restricted,
+                                   seed=rngmod.substream_seed(57, s)))
+            final = np.bincount(report.final_states, minlength=4)
+            key = (init[-1], tuple(report.diagnostics[0].occupancy_after),
+                   tuple(int(x) for x in final))
+            key = tuple(tuple(int(x) for x in k) for k in key)
+            seen[key] = seen.get(key, 0) + 1
+        return seen
+
+    @pytest.mark.parametrize("path,restricted,t", [
+        ("counts", True, 3), ("counts", False, 3), ("counts", True, 1),
+        ("particles", True, 3), ("particles", False, 3),
+    ])
+    def test_joint_law_of_the_first_stage(self, monkeypatch, path, restricted, t):
+        law = self._exact(restricted, t)
+        assert math.isclose(sum(law.values()), 1.0, rel_tol=1e-12)
+        seen = self._sample(monkeypatch, path, restricted, t)
+        assert set(seen) <= {k for k, p in law.items() if p > 0}
+        expected = {k: self.SEEDS * p for k, p in law.items()}
+        big = [k for k, e in expected.items() if e >= 5.0]
+        observed = [seen.get(k, 0) for k in big]
+        want = [expected[k] for k in big]
+        observed.append(self.SEEDS - sum(observed))
+        want.append(self.SEEDS - sum(want))
+        assert len(big) >= 20
+        assert chisquare(observed, want).pvalue > 1e-3
 
 
 class TestTrace:

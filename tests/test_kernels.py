@@ -10,12 +10,15 @@ from modesmc import (
     RadialWalk,
     RandomWalkMetropolis,
     RestrictedKernel,
+    RunConfig,
     SingleSiteFlip,
     gaussian_mixture_target,
+    index_family,
     index_partition,
     ising_target,
     mixing_time_bound,
     restrict_transition_matrix,
+    run,
     spectral_gap,
     stage_kernel,
     stationary_distribution,
@@ -322,7 +325,7 @@ class TestWorkerInvariance:
 
 
 # ---------------------------------------------------------------------------
-# The banded count step against the dense per-state reference.
+# The count step against the dense per-state reference.
 
 
 def _loop_transition_matrix(log_mass):
@@ -349,6 +352,18 @@ def _dense_mutate_counts(P, counts, t, rng):
     return counts
 
 
+def _per_state(counts):
+    """Per-state counts as ``mutate_counts`` input: each occupied state's
+    particles start there, one point-mass row a state."""
+    counts = np.asarray(counts, dtype=np.int64)
+    occupied = np.flatnonzero(counts)
+    return np.eye(counts.size)[occupied], counts[occupied]
+
+
+def _count_step(walk, counts, t, rng, partition=None):
+    return walk.mutate_counts(*_per_state(counts), t, rng, partition=partition)
+
+
 def _two_basin(m):
     """A walk on m states with one basin per half and a cell edge between."""
     x = np.arange(m)
@@ -356,6 +371,25 @@ def _two_basin(m):
     lm += np.where(x < m // 2, 0.0, np.log(1.5))  # unequal basins
     labels = (x >= m // 2).astype(np.int64)
     return DiscreteNeighborWalk(lm), labels
+
+
+def _cell_laws(walk, labels):
+    """Each cell's share of the walk's target: the count path's start laws."""
+    pi = np.exp(walk.log_mass - walk.log_mass.max())
+    laws = np.zeros((2, labels.size))
+    for j in (0, 1):
+        laws[j, labels == j] = pi[labels == j] / pi[labels == j].sum()
+    return laws
+
+
+def _edge_m(t):
+    """The largest path ``_takes_t_step`` carries by the t-step matrix."""
+    m = round((kernels._T_STEP_COST * t / (t - 1).bit_length()) ** (1 / 3))
+    while not _takes_t_step(m, t):
+        m -= 1
+    while _takes_t_step(m + 1, t):
+        m += 1
+    return m
 
 
 class TestBandedCountStep:
@@ -378,7 +412,7 @@ class TestBandedCountStep:
         )
 
     @pytest.mark.parametrize("start,restricted,t", [
-        # ends, interior, edge; one step (banded) and 40 (the t-step draw)
+        # ends, interior, edge; one step (banded) and 40 (the t-step matrix)
         pytest.param(start, restricted, t,
                      id=f"{start}-{restricted}" + ("" if t == 1 else f"-t{t}"))
         for t in (1, 40) for restricted in (False, True) for start in (0, 11, 3, 5, 6)
@@ -394,7 +428,7 @@ class TestBandedCountStep:
         n = 1_000_000
         counts = np.zeros(12, dtype=np.int64)
         counts[start] = n
-        out = walk.mutate_counts(counts, t, _stream(20 + start), partition=part)
+        out = _count_step(walk, counts, t, _stream(20 + start), partition=part)
         row = np.linalg.matrix_power(P, t)[start]
         support = row > 0
         assert out.sum() == n
@@ -404,7 +438,7 @@ class TestBandedCountStep:
         assert stats.chi2.sf(chi2, support.sum() - 1) > 1e-3
 
     @pytest.mark.parametrize("restricted,m", [
-        # 64 states take the t-step draw at t = 5, 128 the banded step
+        # 64 states take the t-step matrix at t = 5, 128 the banded steps
         pytest.param(restricted, m, id=f"{restricted}" + ("" if m == 64 else f"-m{m}"))
         for m in (64, 128) for restricted in (False, True)
     ])
@@ -419,7 +453,7 @@ class TestBandedCountStep:
         counts = (np.arange(m) % 7) * 100
         gen = _stream(40 + restricted)
         runs = np.array(
-            [walk.mutate_counts(counts, 5, gen, partition=part) for _ in range(400)]
+            [_count_step(walk, counts, 5, gen, partition=part) for _ in range(400)]
         )
         expected = counts @ np.linalg.matrix_power(P, 5)
         se = runs.std(axis=0, ddof=1) / math.sqrt(runs.shape[0])
@@ -432,7 +466,7 @@ class TestBandedCountStep:
         counts = (np.arange(64) % 5) * 40
         gen = _stream(42)
         banded = np.array(
-            [walk.mutate_counts(counts, 5, gen, partition=part) for _ in range(300)]
+            [_count_step(walk, counts, 5, gen, partition=part) for _ in range(300)]
         )
         dense = np.array([_dense_mutate_counts(P, counts, 5, gen) for _ in range(300)])
         diff = banded.mean(axis=0) - dense.mean(axis=0)
@@ -443,8 +477,8 @@ class TestBandedCountStep:
         walk, labels = _two_basin(64)
         part = index_partition(labels)
         counts = _stream(43).multinomial(10**6, np.full(64, 1 / 64))
-        free = walk.mutate_counts(counts, 50, _stream(44))
-        sealed = walk.mutate_counts(counts, 50, _stream(45), partition=part)
+        free = _count_step(walk, counts, 50, _stream(44))
+        sealed = _count_step(walk, counts, 50, _stream(45), partition=part)
         assert free.sum() == counts.sum()
         assert np.array_equal(
             np.bincount(labels, weights=sealed), np.bincount(labels, weights=counts)
@@ -487,43 +521,74 @@ class TestBandedCountStep:
         walk, labels = _two_basin(64)
         counts = np.zeros(64, dtype=np.int64)
         counts[20:23] = [5, 0, 7]
-        out0 = walk.mutate_counts(counts, 0, _stream(46))
+        out0 = _count_step(walk, counts, 0, _stream(46))
         assert np.array_equal(out0, counts) and out0 is not counts
-        out1 = walk.mutate_counts(counts, 1, _stream(47), partition=index_partition(labels))
+        out1 = _count_step(walk, counts, 1, _stream(47), partition=index_partition(labels))
         assert out1.sum() == 12
         assert np.all(out1[:19] == 0) and np.all(out1[24:] == 0)
-        out2 = walk.mutate_counts(counts, 2, _stream(47), partition=index_partition(labels))
+        out2 = _count_step(walk, counts, 2, _stream(47), partition=index_partition(labels))
         assert _takes_t_step(64, 2) and out2.sum() == 12
         assert np.all(out2[:18] == 0) and np.all(out2[25:] == 0)
+        # a row with no particles (an empty cell's all-zero law) draws nothing
+        laws, _ = _per_state(counts)
+        laws[0] = 0.0
+        out3 = walk.mutate_counts(laws, [0, 7], 3, _stream(47))
+        assert out3.sum() == 7 and not np.any(out3[:19])
 
     def test_many_short_cells_stay_sealed(self):
-        # 16 cells of 3 states, labels alternating, drawn t steps at once:
-        # each run of one label is its own closed block
+        # 16 runs of 3 states, labels alternating, carried t steps by the
+        # t-step matrix: each run is closed under restriction, so a row
+        # that starts on one run keeps exact totals there at N = 1e7
         x = np.arange(48)
         walk = DiscreteNeighborWalk(-(((x - 20) / 10.0) ** 2))
         run = x // 3
         part = index_partition(run % 2)
         counts = _stream(49).multinomial(10**7, np.full(48, 1 / 48))
+        totals = np.bincount(run, weights=counts).astype(np.int64)
+        laws = np.zeros((16, 48))
+        laws[run, x] = counts / totals[run]
         assert _takes_t_step(48, 40)
-        out = walk.mutate_counts(counts, 40, _stream(50), partition=part)
+        out = walk.mutate_counts(laws, totals, 40, _stream(50), partition=part)
         assert out.dtype == np.int64 and out.sum() == 10**7 and np.all(out >= 0)
+        assert np.array_equal(np.bincount(run, weights=out), totals)
+        cells = run % 2
         assert np.array_equal(
-            np.bincount(run, weights=out), np.bincount(run, weights=counts)
+            np.bincount(cells, weights=out), np.bincount(cells, weights=counts)
         )
-        free = walk.mutate_counts(counts, 40, _stream(51))
+        free = walk.mutate_counts(laws, totals, 40, _stream(51))
         assert free.sum() == 10**7 and np.all(free >= 0)
         assert not np.array_equal(  # unrestricted, the runs do exchange
-            np.bincount(run, weights=free), np.bincount(run, weights=counts)
+            np.bincount(run, weights=free), totals
         )
+
+
+    @pytest.mark.parametrize("t", [10**6, 2**62], ids=["1e6", "2**62"])
+    def test_huge_t_reaches_each_cells_conditional(self, t):
+        # the t-step matrix's row sums drift with t, past numpy's
+        # multinomial tolerance and at 2**62 past float range; each row is
+        # drawn normalised, from its cell's stationary conditional
+        walk, labels = _two_basin(16)
+        assert _takes_t_step(16, t)
+        laws = np.zeros((2, 16))
+        laws[0, 0] = laws[1, 15] = 1.0
+        totals = np.array([400_000, 600_000])
+        out = walk.mutate_counts(laws, totals, t, _stream(57),
+                                 partition=index_partition(labels))
+        for j, want in enumerate(_cell_laws(walk, labels)):
+            got, cell = out[labels == j], want[labels == j]
+            assert got.sum() == totals[j]
+            chi2 = ((got - totals[j] * cell) ** 2 / (totals[j] * cell)).sum()
+            assert stats.chi2.sf(chi2, cell.size - 1) > 1e-3
 
 
 class TestCountStepChoice:
-    """``mutate_counts`` draws t steps at once iff m m ceil(log2 t) <=
-    _T_STEP_COST t, and otherwise runs the banded step unchanged."""
+    """``mutate_counts`` carries its laws by the t-step matrix iff
+    m^3 ceil(log2 t) <= _T_STEP_COST t, and otherwise by t banded steps;
+    either way it draws each row's particles once."""
 
     @staticmethod
     def _spied(monkeypatch, walk):
-        calls = []
+        calls, laws = [], []
 
         def spy(name, inner):
             def call(*args, **kwargs):
@@ -531,41 +596,96 @@ class TestCountStepChoice:
                 return inner(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(
-            kernels, "_birth_death_counts", spy("banded", kernels._birth_death_counts)
-        )
+        multinomial_counts = kernels.multinomial_counts
+
+        def draw(carried, totals, rng):
+            laws.append(np.array(carried))
+            return multinomial_counts(carried, totals, rng)
+
+        monkeypatch.setattr(kernels, "_banded_laws", spy("banded", kernels._banded_laws))
+        monkeypatch.setattr(kernels, "multinomial_counts", draw)
         walk.transition_matrix = spy("t-step", walk.transition_matrix)
-        return calls
+        return calls, laws
 
     @pytest.mark.parametrize("extra,called", [(0, "t-step"), (1, "banded")],
                              ids=["at-edge", "past-edge"])
     def test_choice_at_the_cost_edge(self, monkeypatch, extra, called):
+        # either route carries the cell laws to start @ P^t within 1e-12,
+        # free and restricted, and restricted rows keep exact zeros
         t = 50
-        m = math.isqrt(kernels._T_STEP_COST * t // (t - 1).bit_length()) + extra
+        m = _edge_m(t) + extra
         walk, labels = _two_basin(m)
-        calls = self._spied(monkeypatch, walk)
-        counts = np.full(m, 10, dtype=np.int64)
-        out = walk.mutate_counts(counts, t, _stream(52), partition=index_partition(labels))
-        assert calls == [called]
-        assert out.sum() == counts.sum()
+        calls, laws = self._spied(monkeypatch, walk)
+        start, totals = _cell_laws(walk, labels), np.array([400, 600])
+        for part in (None, index_partition(labels)):
+            out = walk.mutate_counts(start, totals, t, _stream(52), partition=part)
+            assert out.sum() == totals.sum()
+            P = _loop_transition_matrix(walk.log_mass)
+            if part is not None:
+                P = restrict_transition_matrix(P, labels)
+                for j in (0, 1):
+                    assert not np.any(laws[-1][j][labels != j])
+            want = start @ np.linalg.matrix_power(P, t)
+            assert np.allclose(laws[-1], want, rtol=0, atol=1e-12)
+        assert calls == [called, called]
 
-    def test_large_path_keeps_the_banded_draws(self):
-        # 512 states at t = 50 (the enum-counts shape): the same stream
-        # gives the banded step's counts bit for bit
+    def test_large_path_keeps_the_banded_draws(self, monkeypatch):
+        # 512 states at t = 50 (the enum-counts shape) take the banded
+        # steps, and draw each cell's particles once from the same stream
         walk, labels = _two_basin(512)
         part = index_partition(labels)
-        counts = _stream(53).multinomial(10**7, np.full(512, 1 / 512))
-        got = walk.mutate_counts(counts, 50, _stream(54), partition=part)
-        want = kernels._birth_death_counts(counts, *walk.band(part), 50, _stream(54))
+        calls, _ = self._spied(monkeypatch, walk)
+        start, totals = _cell_laws(walk, labels), np.array([4 * 10**6, 6 * 10**6])
+        got = walk.mutate_counts(start, totals, 50, _stream(54), partition=part)
+        assert calls == ["banded"]
+        carried = kernels._banded_laws(start, *walk.band(part), 50)
+        gen = _stream(54)
+        want = np.zeros(512, dtype=np.int64)
+        for j in (0, 1):
+            support = np.flatnonzero(carried[j] > 0)
+            want[support] += gen.multinomial(totals[j], carried[j][support])
         assert np.array_equal(got, want)
 
     def test_spin_levels_take_the_t_step(self, monkeypatch):
         fam, part = ising_target(15, 1.0)
         walk = stage_kernel(fam.lumping.family, 7)
-        calls = self._spied(monkeypatch, walk)
+        calls, _ = self._spied(monkeypatch, walk)
         counts = np.full(16, 125, dtype=np.int64)
-        walk.mutate_counts(counts, 50, _stream(55), partition=part.reduced)
+        _count_step(walk, counts, 50, _stream(55), partition=part.reduced)
         assert calls == ["t-step"]
+
+    def test_draws_do_not_depend_on_t(self, monkeypatch):
+        # the random calls of a count-path run, stage by stage and stream by
+        # stream, are the same at t = 50 and t = 500 on the 512-state path:
+        # one multinomial of the cell totals, then one a cell
+        walk, labels = _two_basin(512)
+        fam = index_family(walk.log_mass, betas=(0.2, 0.6, 1.0))
+        part = index_partition(labels)
+        calls = {}
+        stream = rngmod.stream
+
+        class Spy:
+            def __init__(self, key, gen):
+                self.key, self.gen = key, gen
+
+            def __getattr__(self, name):
+                method = getattr(self.gen, name)
+
+                def call(*args, **kwargs):
+                    calls[t].append((*self.key, name))
+                    return method(*args, **kwargs)
+                return call
+
+        monkeypatch.setattr(
+            rngmod, "stream", lambda seed, v, phase: Spy((v, phase), stream(seed, v, phase))
+        )
+        for t in (50, 500):
+            calls[t] = []
+            run(RunConfig(family=fam, partition=part, n_particles=10**5,
+                          mutation_steps=t, seed=56))
+        assert calls[50] == calls[500]
+        mutate = [c for c in calls[50] if c[1] == rngmod.MUTATE]
+        assert mutate == [(v, rngmod.MUTATE, "multinomial") for v in (1, 1, 2, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,9 @@ CASES = {
 DIGESTS = {
     'smc-four-state': {
         'diagnostics.csv':
-            'd5aede40629209a40f4162d575d44c4b1e10a6d0a0679e0486a89676af542bc7',
+            '172fedabc3758d351d9ebd7748d91a5817be41e6f56a980e17a02df8cb6a7461',
         'summary.yaml':
-            'ae0e58729f4dd0c810062664d7b40cfccbb8871c2dadb4ad89a134199d24a5d1',
+            '5bd3997720a4ecf96af709a5b725c1d9dd40839d958bf56bbb71d16c6903b616',
     },
     'smc-gauss-replicates': {
         'replicate_000/diagnostics.csv':
@@ -106,23 +106,23 @@ DIGESTS = {
     },
     'smc-ising-threads': {
         'diagnostics.csv':
-            'b9d964b55f505362f53add9568402acce1e6e81e2e4f806e8b1fbe0494b0966e',
+            '23c81703d5c99cfae86a07cff19cce6c71636599069f19a7be9b2ccadc263a1a',
         'summary.yaml':
-            '124ad5230abbeaa0544c39a873bf6eae2b38bb673656a7329dd56725c91abe0b',
+            '717f4772d72c6865288badf97a8d44aeb804ff28fe0159a87378da20cf0c60bc',
     },
     'smc-ising-unrestricted': {
         'replicate_000/diagnostics.csv':
-            'd4bf73cdf6d59a855daabcd77f1998f43835d9e79363450a13972db5671ca2de',
+            '1bab0f23919a21d43aaa9410155887b80673d929a2159b22b64a5b59e004df3a',
         'replicate_001/diagnostics.csv':
-            'e8b3f43ed5f19243dbbe693b4e0b16bc60b181dbccc2cd581b7822385851699b',
+            '84240e12570536faed72014d4d39b1a1c394446cfd0f30e46d6e984b92df0535',
         'summary.yaml':
-            '3ab2775ad8c39df467e3e9065f422a326d177b50d51666dafa459d5a9766457a',
+            '208caf6aa5629f63c61ecc8cf9e8b886d7f3061a8fcd9a6f22612ff99ffe3b85',
     },
     'smc-ising-paper-n': {
         'diagnostics.csv':
-            '3ed55629ea0b59f150da80d2db71773cac8cd45ec01256a98f953e30a30ec923',
+            '11aaf8bda4052768b378e2da6df76022ab3db6b84d77f69fd3e1e6bea514c161',
         'summary.yaml':
-            'aa083373463aa973d02b2fb063c3d10090c87bb553818e8e46a667ff531cc93d',
+            'ec9791634a22ac55559d19c502a5170e023f9d27ccbdb2fd7c795189b1a8cc2b',
     },
     'pt-four-state': {
         'summary.yaml':
@@ -134,11 +134,11 @@ DIGESTS = {
     },
     'st-four-state': {
         'summary.yaml':
-            'b8135bcef5c5cd939c0d0c7698a176e4cd8040aead32f065cfc0f9fb049f413a',
+            '226cf92f750553b33665e43bad6c153815945a0cac1a8213ba0fafd7907445ec',
     },
     'st-ising': {
         'summary.yaml':
-            '02e14f2d76a755ee18ed65a29252a503509ad22a17a0b9e9b51d0df817b91dc9',
+            '0b47491669da40d0b133004bba2af34a9a3ca12369d1accbe6fee8715805cf4d',
     },
     'bounds-four-state': {
         'bounds.yaml':
@@ -150,7 +150,7 @@ DIGESTS = {
     },
     'verify-quick': {
         'verify.csv':
-            '93a86b48b47450a8c7d324acd3754200086cbbcef7f3160f3ad84d5e73614267',
+            'ff73ad4f4a50e0a48a4f4b17297bef98c8838c7e09d3cc4b1560e65d1cbe4c3c',
     },
 }
 
