@@ -27,7 +27,10 @@ n_j particles of cell j are i.i.d. draws from its share and move
 independently, so ``mutate_counts`` carries each share t steps forward
 with no randomness (by the t-step matrix on short paths, by t banded
 vector steps otherwise) and draws cell j's particles from its carried law
-with one multinomial. A stage's draws depend on neither t nor N. The run
+with one multinomial. Restricted, no share leaves its cell, so the banded
+steps carry the shares' sum as one row and split it back by cell, with
+the same bits as carrying each share. A stage's draws depend on neither t
+nor N, and its occupancies are exact int64 sums of the counts. The run
 returns its population as it is (``RunReport``): on the count path each
 state once with its count, so a run at N = 1e10 holds O(m) numbers.
 ``final_states`` and ``final_cells`` expand it to N rows, ordered by
@@ -181,15 +184,9 @@ class RunReport:
         return np.cumsum([d.log_z_increment for d in self.diagnostics])
 
 
-def _histogram(labels, counts, size):
-    """Particles per label, from one label per particle (``counts`` None)
-    or one per state holding ``counts`` particles, summed in int64: exact
-    for any N below 2**63, where float weights lose counts past 2**53."""
-    if counts is None:
-        return np.bincount(labels, minlength=size).astype(np.int64, copy=False)
-    out = np.zeros(size, dtype=np.int64)
-    np.add.at(out, labels, counts)
-    return out
+def _histogram(labels, size):
+    """Particles per label, one label per particle, as int64."""
+    return np.bincount(labels, minlength=size).astype(np.int64, copy=False)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -227,7 +224,8 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
     resampling law's share in each cell, as (laws, totals): row j of the
     (p, m) array ``laws`` is that law restricted to cell j and normalised
     (zeros where n_j = 0), so the resampled particles of cell j are n_j
-    i.i.d. draws from it. Returns that pair and the stage's diagnostics;
+    i.i.d. draws from it; ``occupancy_before`` sums each cell's counts in
+    int64. Returns that pair and the stage's diagnostics;
     all-zero weights raise WeightCollapseError, and a cell weight sum past
     float range raises InvalidStateError.
     """
@@ -235,22 +233,24 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
     if not np.isfinite(log_total):
         raise WeightCollapseError(stage)
     log_cell = np.full(p, -np.inf)
-    masks = [cells == j for j in range(p)]
+    masks = cells == np.arange(p)[:, None]
     for j, mask in enumerate(masks):
         if mask.any():
             log_cell[j] = _logsumexp(log_mass[mask])
+    log_n = np.log(n)
     with np.errstate(over="ignore"):
-        w_hat = np.exp(log_cell - np.log(n))
+        w_hat = np.exp(log_cell - log_n)
     if not np.all(np.isfinite(w_hat)):  # log z stays finite; w_hat cannot
         raise InvalidStateError(f"stage {stage} weight sum past float range")
-    before = _histogram(cells, counts, p)
     probs = np.exp(log_cell - log_total)
     if counts is None:
+        before = _histogram(cells, p)
         pick = np.exp(log_mass - log_mass.max())
         idx = gen.choice(n, size=n, p=pick / pick.sum())
         drawn = states[idx], cells[idx]
-        after = _histogram(drawn[1], None, p)
+        after = _histogram(drawn[1], p)
     else:
+        before = masks @ counts  # int64 sums, exact for any N below 2**63
         after = gen.multinomial(n, probs / probs.sum())
         laws = np.zeros((p, cells.size))
         for j in np.flatnonzero(after):
@@ -262,7 +262,7 @@ def _resample(stage, n, log_mass, states, cells, counts, gen, p):
         resample_probs=probs,
         occupancy_before=before,
         occupancy_after=after,
-        log_z_increment=float(log_total - np.log(n)),
+        log_z_increment=float(log_total - log_n),
     )
     return drawn, diag
 
@@ -326,7 +326,7 @@ def run(config: RunConfig) -> RunReport:
         if counts is None:
             states, cells = drawn
             if config.record_resampled:
-                trace.append(_histogram(states, None, family.index_log_mass.size))
+                trace.append(_histogram(states, family.index_log_mass.size))
             gen = rngmod.stream(config.seed, v, rngmod.MUTATE)
             states = kernel.mutate(
                 states, t, gen, cells=cells, partition=restrict, workers=config.workers

@@ -49,32 +49,57 @@ per block, so the output is the same either way.
 The count step (``DiscreteNeighborWalk.mutate_counts``) moves totals[j]
 particles drawn i.i.d. from each row law laws[j] on an m-state path (on
 the count path, a cell's share of the resampling law). They move
-independently (Del Moral 2004), so it carries each row to laws[j] K^t
-with no randomness and draws its particles with one multinomial: its
-draws do not depend on t. It carries the rows by ``matrix_power(P, t)``
-iff t > 1 and m^3 ceil(log2 t) <= C t, C = ``_T_STEP_COST`` (the matrix
-power's O(m^3 log t) against t banded vector steps' O(t m)), else by the
-banded steps. Median ms per call, matrix / banded route, each forced, two
-cells of 4e6 and 6e6 particles on a restricted path, draws included
-(numpy 2.4, OpenBLAS default threads, 2-core VM):
+independently (Del Moral 2004), so it carries each row to laws[j] K^t with
+no randomness and draws its particles with one multinomial: its draws do
+not depend on t. It carries the rows by ``matrix_power(P, t)`` iff t > 1
+and m^3 ceil(log2 t) <= C t, C = ``_T_STEP_COST`` (the matrix power's
+O(m^3 log t) against t banded vector steps' O(t m)), else by t banded
+steps (``_banded_laws``). A banded step multiplies a zero-padded (3, rows,
+m) window of the rows by the taps (up, stay, down) and adds the products
+as (stay + down) + up: three numpy calls a step, with the bits of the
+five-call sliced loop the tests keep as a reference. Restricted, rows that
+each lie in their own cell (row j in cell j, the engine's layout) never
+exchange mass, so the banded steps carry their sum as one row and split it
+back by cell, with the same bits as carrying each row; any other rows
+(several in one cell, a row across cells, unrestricted rows) are carried
+row by row. The matrix route is per row either way. Median ms per call,
+matrix / banded route, each forced, draws included, two cells of 4e6 and
+6e6 particles on a two-basin path (numpy 2.4, OpenBLAS default threads,
+2-core VM), restricted (one summed row) and free (two rows):
 
-    m \\ t       2              5             50            100            638
-      4  0.050 / 0.043  0.039 / 0.060  0.043 / 0.345  0.045 / 0.658  0.055 / 4.02
-     64  0.054 / 0.050  0.069 / 0.068  0.103 / 0.367  0.113 / 0.699  0.178 / 4.32
-     96  0.078 / 0.052  0.127 / 0.073  0.230 / 0.382  0.257 / 0.730  0.439 / 4.49
-    128  16.0  / 0.057  0.346 / 0.142  0.935 / 0.751  1.025 / 1.458  1.487 / 8.80
-    160  0.419 / 0.100  0.725 / 0.142  1.397 / 0.403  1.132 / 0.752  2.078 / 4.75
-    256  0.752 / 0.070  2.174 / 0.095  3.719 / 0.428  4.275 / 0.840  8.441 / 4.99
-    512  4.589 / 0.103  10.03 / 0.130  20.99 / 0.541  27.33 / 0.967  47.31 / 9.72
+    restricted  2              5              50             100            638
+      4  0.040 / 0.074  0.037 / 0.073  0.042 / 0.145  0.042 / 0.296  0.050 / 1.13
+     16  0.037 / 0.068  0.039 / 0.073  0.044 / 0.149  0.044 / 0.240  0.054 / 1.16
+     32  0.038 / 0.068  0.045 / 0.075  0.055 / 0.156  0.064 / 0.234  0.077 / 1.16
+     48  0.046 / 0.078  0.060 / 0.080  0.077 / 0.157  0.081 / 0.256  0.106 / 1.19
+     64  0.060 / 0.078  0.066 / 0.081  0.100 / 0.168  0.114 / 0.268  0.164 / 1.18
+     96  0.074 / 0.085  0.122 / 0.087  0.218 / 0.166  0.242 / 0.259  0.410 / 1.20
+    128  16.00 / 0.089  47.95 / 0.094  0.727 / 0.172  0.812 / 0.263  1.176 / 1.25
+    160  0.291 / 0.093  0.522 / 0.099  1.097 / 0.192  1.125 / 0.268  2.557 / 1.33
+    256  0.639 / 0.103  1.705 / 0.111  3.540 / 0.203  3.650 / 0.517  6.829 / 1.39
+    512  3.824 / 0.126  7.966 / 0.132  17.12 / 0.272  20.62 / 0.414  34.43 / 2.07
 
-The banded route took 0.72 and 1.42 ms at t = 50 at m = 1024 and 2048.
-The matrix route wins from t = 5 up to m = 64 (ties below), from t = 50
-at m = 96, from t = 100 and 200 at m = 128 and 160, and nowhere from m =
-256. C = 2e5 powers m <= 73 at t = 2, 118 at t = 50 and 233 at t = 638.
-Products of m >= 65 run on OpenBLAS's threads, which on the 2-core VM
-sometimes stall: the m = 128 matrix route took 16 ms at t = 2 in this
-table, and a median 68 ms at t = 50 in one of three runs of 20 calls
-after a 10 ms idle (0.84 and 1.26 ms in the other two).
+    free        2              5              50             100            638
+      4  0.038 / 0.062  0.034 / 0.060  0.039 / 0.194  0.040 / 0.342  0.045 / 1.96
+     64  0.055 / 0.063  0.063 / 0.074  0.102 / 0.234  0.114 / 0.384  0.168 / 2.06
+     96  0.071 / 0.067  0.119 / 0.080  0.227 / 0.235  0.249 / 0.400  0.424 / 2.27
+    128  0.141 / 0.094  0.277 / 0.106  0.750 / 0.349  0.834 / 0.617  1.333 / 3.48
+    256  0.892 / 0.107  2.380 / 0.125  4.681 / 0.390  5.244 / 0.717  9.803 / 4.04
+    512  8.087 / 0.138  17.74 / 0.142  17.96 / 0.449  19.56 / 0.788  37.33 / 4.58
+
+The banded route took 0.38 / 0.71 ms (restricted / free) at m = 1024 and
+0.65 / 1.19 ms at m = 2048, t = 50. The matrix route wins at every t up to
+m = 64; from m = 96 to 160 it wins mostly at t = 100 and 638 (by up to 0.8
+ms restricted and 2.1 ms free), and nowhere from m = 256. Products of m >=
+65 run on OpenBLAS's threads, which on the 2-core VM stall: the m = 128
+matrix route took a median 16 and 48 ms at t = 2 and 5 in two of three
+restricted runs of this table, and at t = 638 after a 10 ms idle 3 of 20
+calls took over 5 ms (the slowest 246 ms). So C keeps every m >= 65 on the
+banded steps up to t = 638, C < 65^3 * 10 / 638 = 4304.5: at C = 4300 the
+matrix route takes m <= 20 at t = 2, 32 at t = 50 and 64 at t = 638 (m =
+64 from t = 610), and m >= 65 only past t = 638 (75 at t = 1000, 145 at t
+= 1e4). That gives up at most 0.15 ms a call restricted (0.27 ms free) at
+m = 21-64, and the wins above m = 64 at t = 100 and 638.
 
 Restriction follows the refuse-leaving-moves construction: a full base
 step is simulated and the result is discarded (the particle stays put)
@@ -105,7 +130,7 @@ def default_step_variance(sigma: float, beta: float, d: int) -> float:
 
 
 _BLOCK = 1024  # rows per noise block; see the module docstring
-_T_STEP_COST = 200_000  # the count step's crossover; see the module docstring
+_T_STEP_COST = 4_300  # the count step's crossover; see the module docstring
 
 
 def _chunks(n: int, workers: int):
@@ -147,17 +172,43 @@ def _takes_t_step(m, t):
 
 def _banded_laws(laws, down, up, t):
     """Each row law q of ``laws`` carried t steps, q <- q K, of the band
-    (down, up); no mass crosses a refused move, of probability 0."""
-    stay = 1.0 - (down + up)
-    down, up = down[1:], up[:-1]
+    (down, up); no mass crosses a refused move, of probability 0.
+
+    The rows live in two buffers padded with a zero column at each end. A
+    step multiplies the (3, rows, m) window (q[i-1], q[i], q[i+1]) of one
+    buffer by the taps (up[i-1], stay[i], down[i+1]) and adds the products
+    as (stay + down) + up into the other buffer's interior: the terms of
+    q K in a fixed order, the padding adding only +0.0."""
     q = np.array(laws, dtype=float)
-    nxt = np.empty_like(q)
-    for _ in range(t):
-        np.multiply(q, stay, out=nxt)
-        nxt[:, :-1] += q[:, 1:] * down
-        nxt[:, 1:] += q[:, :-1] * up
-        q, nxt = nxt, q
-    return q
+    rows, m = q.shape
+    taps = np.zeros((3, 1, m))
+    taps[0, 0, 1:] = up[:-1]
+    taps[1, 0] = 1.0 - (down + up)
+    taps[2, 0, :-1] = down[1:]
+    bufs = np.zeros((2, rows, m + 2))
+    bufs[0, :, 1:-1] = q
+    windows = np.lib.stride_tricks.sliding_window_view(bufs, 3, axis=2)
+    windows = windows.transpose(3, 0, 1, 2)  # [tap, buffer, row, state]
+    steps = [(windows[:, a], bufs[1 - a, :, 1:-1]) for a in (0, 1)]
+    prod = np.empty((3, rows, m))
+    by_up, by_stay, by_down = prod
+    for s in range(t):
+        window, inner = steps[s % 2]
+        np.multiply(window, taps, out=prod)
+        np.add(by_stay, by_down, out=inner)
+        np.add(inner, by_up, out=inner)
+    return bufs[t % 2, :, 1:-1].copy()
+
+
+def _own_cells(laws, labels):
+    """The (k, m) mask ``labels == j`` of each row j's own cell if no row
+    has mass outside it, else None (a row past the last cell has no own
+    cell). Restricted, such rows never exchange mass, so their sum carried
+    t steps and split back by the mask is each row carried t steps, bit for
+    bit (module docstring)."""
+    laws = np.asarray(laws)
+    own = labels == np.arange(laws.shape[0])[:, None]
+    return None if np.any(laws, where=~own) else own
 
 
 def multinomial_counts(laws, totals, rng):
@@ -403,13 +454,15 @@ class DiscreteNeighborWalk(_Metropolis):
         np.copyto(out, x, where=(out < 0) | (out >= self.n_states))
         return out
 
+    def _labels(self, partition):
+        if partition is None:
+            return None
+        return partition.classify(np.arange(self.n_states))
+
     def band(self, partition=None):
         """Per-state move probabilities ``(down, up)`` to i-1 and i+1
         (``_birth_death_band``)."""
-        labels = None if partition is None else partition.classify(
-            np.arange(self.n_states)
-        )
-        return _birth_death_band(self.log_mass, *self.picks, labels)
+        return _birth_death_band(self.log_mass, *self.picks, self._labels(partition))
 
     def transition_matrix(self, partition=None) -> np.ndarray:
         """The exact one-step matrix of ``band(partition)``."""
@@ -427,12 +480,20 @@ class DiscreteNeighborWalk(_Metropolis):
         row law laws[j] (a (k, m) array) and moved t steps, the law of
         ``mutate`` on them: each row carried to laws[j] K^t, then drawn
         from ``rng`` (module docstring). Under restriction a row that
-        starts in one cell keeps exact zeros outside it."""
+        starts in one cell keeps exact zeros outside it, and banded steps
+        carry rows that each lie in their own cell as one summed row."""
         if _takes_t_step(self.n_states, t):
             P = self.transition_matrix(partition)
             laws = laws @ np.linalg.matrix_power(P, t)
         elif t > 0:
-            laws = _banded_laws(laws, *self.band(partition), t)
+            labels = self._labels(partition)
+            band = _birth_death_band(self.log_mass, *self.picks, labels)
+            own = None if labels is None else _own_cells(laws, labels)
+            if own is None:
+                laws = _banded_laws(laws, *band, t)
+            else:
+                summed = _banded_laws(np.sum(laws, axis=0, keepdims=True), *band, t)
+                laws = np.where(own, summed, 0.0)
         return multinomial_counts(laws, totals, rng)
 
 

@@ -27,6 +27,7 @@ from modesmc import (
     tv_distance,
 )
 import modesmc.engine
+from modesmc import kernels
 from modesmc import analytic_catalog
 from modesmc import rng as rngmod
 from modesmc.engine import COUNT_PATH_MAX_STATES, _resample
@@ -212,6 +213,19 @@ class TestResampleCounts:
             assert np.array_equal(diag.occupancy_before,
                                   np.bincount(space.labels, weights=counts,
                                               minlength=2))
+
+    def test_occupancy_before_exact_near_2_62(self, space):
+        # per-cell int64 sums of counts summing to 5 * 2**60, against the
+        # per-state scatter-add; float64 sums would drop the low bits
+        counts = np.array([2**60 + 3, 2**61 - 1, 2**60 + 7, 2**60 - 5])
+        n = int(counts.sum())
+        _, diag = self._draw(space, n, counts)
+        want = np.zeros(2, dtype=np.int64)
+        np.add.at(want, space.labels, counts)
+        assert same_bits(diag.occupancy_before, want)
+        assert int(diag.occupancy_before.sum()) == n
+        floats = np.bincount(space.labels, weights=counts).astype(np.int64)
+        assert not np.array_equal(floats, want)
 
     def test_all_minus_inf_collapses_with_stage(self, space):
         part = space.to_partition()
@@ -714,11 +728,16 @@ class TestExactStageLaw:
             seen[key] = seen.get(key, 0) + 1
         return seen
 
-    @pytest.mark.parametrize("path,restricted,t", [
-        ("counts", True, 3), ("counts", False, 3), ("counts", True, 1),
-        ("particles", True, 3), ("particles", False, 3),
-    ])
-    def test_joint_law_of_the_first_stage(self, monkeypatch, path, restricted, t):
+    @pytest.mark.parametrize("path,restricted,t,banded", [
+        pytest.param(*case, False, id="-".join(map(str, case))) for case in (
+            ("counts", True, 3), ("counts", False, 3), ("counts", True, 1),
+            ("particles", True, 3), ("particles", False, 3),
+        )
+    ] + [pytest.param("counts", True, 3, True, id="counts-True-3-banded")])
+    def test_joint_law_of_the_first_stage(self, monkeypatch, path, restricted, t,
+                                          banded):
+        if banded:  # the summed carry of the banded steps, not the t-step matrix
+            monkeypatch.setattr(kernels, "_T_STEP_COST", 0)
         law = self._exact(restricted, t)
         assert math.isclose(sum(law.values()), 1.0, rel_tol=1e-12)
         seen = self._sample(monkeypatch, path, restricted, t)

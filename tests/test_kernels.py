@@ -438,11 +438,13 @@ class TestBandedCountStep:
         assert stats.chi2.sf(chi2, support.sum() - 1) > 1e-3
 
     @pytest.mark.parametrize("restricted,m", [
-        # 64 states take the t-step matrix at t = 5, 128 the banded steps
+        # 64 states forced onto the t-step matrix at t = 5, 128 onto the
+        # banded steps
         pytest.param(restricted, m, id=f"{restricted}" + ("" if m == 64 else f"-m{m}"))
         for m in (64, 128) for restricted in (False, True)
     ])
-    def test_mean_counts_after_five_steps(self, restricted, m):
+    def test_mean_counts_after_five_steps(self, monkeypatch, restricted, m):
+        monkeypatch.setattr(kernels, "_T_STEP_COST", 10**9 if m == 64 else 0)
         walk, labels = _two_basin(m)
         assert _takes_t_step(m, 5) == (m == 64)
         P = _loop_transition_matrix(walk.log_mass)
@@ -517,7 +519,7 @@ class TestBandedCountStep:
         with pytest.raises(ValueError, match="1/2"):
             walk.draw_moves(_stream(48), 2, 3)
 
-    def test_zero_steps_and_empty_states(self):
+    def test_zero_steps_and_empty_states(self, monkeypatch):
         walk, labels = _two_basin(64)
         counts = np.zeros(64, dtype=np.int64)
         counts[20:23] = [5, 0, 7]
@@ -526,6 +528,7 @@ class TestBandedCountStep:
         out1 = _count_step(walk, counts, 1, _stream(47), partition=index_partition(labels))
         assert out1.sum() == 12
         assert np.all(out1[:19] == 0) and np.all(out1[24:] == 0)
+        monkeypatch.setattr(kernels, "_T_STEP_COST", 10**9)  # the t-step matrix
         out2 = _count_step(walk, counts, 2, _stream(47), partition=index_partition(labels))
         assert _takes_t_step(64, 2) and out2.sum() == 12
         assert np.all(out2[:18] == 0) and np.all(out2[25:] == 0)
@@ -535,10 +538,11 @@ class TestBandedCountStep:
         out3 = walk.mutate_counts(laws, [0, 7], 3, _stream(47))
         assert out3.sum() == 7 and not np.any(out3[:19])
 
-    def test_many_short_cells_stay_sealed(self):
+    def test_many_short_cells_stay_sealed(self, monkeypatch):
         # 16 runs of 3 states, labels alternating, carried t steps by the
         # t-step matrix: each run is closed under restriction, so a row
         # that starts on one run keeps exact totals there at N = 1e7
+        monkeypatch.setattr(kernels, "_T_STEP_COST", 10**9)
         x = np.arange(48)
         walk = DiscreteNeighborWalk(-(((x - 20) / 10.0) ** 2))
         run = x // 3
@@ -686,6 +690,125 @@ class TestCountStepChoice:
         assert calls[50] == calls[500]
         mutate = [c for c in calls[50] if c[1] == rngmod.MUTATE]
         assert mutate == [(v, rngmod.MUTATE, "multinomial") for v in (1, 1, 2, 2)]
+
+
+def _loop_banded_laws(laws, down, up, t):
+    """Reference: the banded carry as a loop of five sliced calls a step,
+    q K added as (stay + down) + up."""
+    stay = 1.0 - (down + up)
+    down, up = down[1:], up[:-1]
+    q = np.array(laws, dtype=float)
+    nxt = np.empty_like(q)
+    for _ in range(t):
+        np.multiply(q, stay, out=nxt)
+        nxt[:, :-1] += q[:, 1:] * down
+        nxt[:, 1:] += q[:, :-1] * up
+        q, nxt = nxt, q
+    return q
+
+
+def _random_band(gen, m):
+    """A random walk band on m states with refused edges between random runs
+    of three cells, and per-edge picks."""
+    labels = np.cumsum(gen.random(m) < 0.1) % 3
+    picks = gen.uniform(0.1, 0.5, size=(2, max(m - 1, 0)))
+    return kernels._birth_death_band(4.0 * gen.standard_normal(m), *picks, labels)
+
+
+class TestBandedStepper:
+    """``_banded_laws``' zero-padded window against the sliced loop."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 64, 513])
+    def test_window_equals_the_loop_bit_for_bit(self, m):
+        gen = rngmod.stream(919, m, rngmod.REPLICATE)
+        for rows in (1, 2, 5):
+            for t in (0, 1, 2, 50):
+                down, up = _random_band(gen, m)
+                laws = gen.random((rows, m)) * (gen.random((rows, m)) < 0.7)
+                got = kernels._banded_laws(laws, down, up, t)
+                assert same_bits(got, _loop_banded_laws(laws, down, up, t))
+
+    def test_a_fresh_array_from_array_like_laws(self):
+        down, up = _random_band(rngmod.stream(919, 0, rngmod.REPLICATE), 6)
+        laws = np.eye(6)[[1, 4]]
+        for t in (0, 3):
+            got = kernels._banded_laws(laws.tolist(), down, up, t)
+            assert same_bits(got, _loop_banded_laws(laws, down, up, t))
+            assert not np.shares_memory(got, laws)
+            got[:] = -1.0  # writeable and its own
+        assert same_bits(kernels._banded_laws(laws, down, up, 0), laws)
+
+
+class TestSummedCarry:
+    """Restricted rows that each lie in their own cell (``engine._resample``'s
+    layout) are carried as one summed row by the banded steps; every other
+    input is carried row by row. Either way the draws are the per-row
+    carry's, bit for bit."""
+
+    @staticmethod
+    def _carry(monkeypatch, walk, laws, totals, t, part, tag):
+        monkeypatch.setattr(kernels, "_T_STEP_COST", 0)  # the banded steps
+        shapes, drawn = [], []
+        banded, draw = kernels._banded_laws, kernels.multinomial_counts
+
+        def spy_banded(laws, *args):
+            shapes.append(np.shape(laws))
+            return banded(laws, *args)
+
+        def spy_draw(laws, *args):
+            drawn.append(np.array(laws))
+            return draw(laws, *args)
+
+        monkeypatch.setattr(kernels, "_banded_laws", spy_banded)
+        monkeypatch.setattr(kernels, "multinomial_counts", spy_draw)
+        got = walk.mutate_counts(laws, totals, t, _stream(tag), partition=part)
+        carried = _loop_banded_laws(laws, *walk.band(part), t)
+        assert same_bits(drawn[-1], carried)
+        assert np.array_equal(got, draw(carried, totals, _stream(tag)))
+        return shapes
+
+    @pytest.mark.parametrize("m,t", [(512, 50), (12, 7), (2, 3)])
+    def test_own_cell_rows_carry_one_summed_row(self, monkeypatch, m, t):
+        walk, labels = _two_basin(m)
+        part = index_partition(labels)
+        laws, totals = _cell_laws(walk, labels), np.array([4 * 10**6, 6 * 10**6])
+        shapes = self._carry(monkeypatch, walk, laws, totals, t, part, 60)
+        assert shapes == [(1, m)]
+
+    def test_fewer_rows_than_cells_and_an_empty_row(self, monkeypatch):
+        # three cells, two rows: the second row's cell is empty
+        walk, _ = _two_basin(30)
+        labels = np.arange(30) // 10
+        laws = np.zeros((2, 30))
+        laws[0, :10] = np.linspace(1.0, 2.0, 10) / 15.0
+        shapes = self._carry(monkeypatch, walk, laws, np.array([1000, 0]), 9,
+                             index_partition(labels), 61)
+        assert shapes == [(1, 30)]
+
+    @pytest.mark.parametrize("case", ["point-masses", "spanning", "swapped", "free"])
+    def test_other_rows_keep_the_per_row_carry(self, monkeypatch, case):
+        walk, labels = _two_basin(64)
+        part = index_partition(labels)
+        laws, totals = _cell_laws(walk, labels), np.array([400, 600])
+        if case == "point-masses":  # two rows in cell 0, as _per_state gives
+            counts = np.zeros(64, dtype=np.int64)
+            counts[[5, 9]] = [300, 700]
+            laws, totals = _per_state(counts)
+        elif case == "spanning":  # row 0 has mass in both cells
+            laws[0] = laws.mean(axis=0)
+        elif case == "swapped":  # each row in the other row's cell
+            laws = laws[::-1].copy()
+        else:
+            part = None
+        shapes = self._carry(monkeypatch, walk, laws, totals, 11, part, 62)
+        assert shapes == [laws.shape]
+        assert laws.shape[0] > 1
+
+    def test_one_spanning_row_keeps_its_mass(self, monkeypatch):
+        walk, labels = _two_basin(64)
+        law = _cell_laws(walk, labels).mean(axis=0, keepdims=True)
+        self._carry(monkeypatch, walk, law, np.array([1000]), 11,
+                    index_partition(labels), 63)
 
 
 # ---------------------------------------------------------------------------
