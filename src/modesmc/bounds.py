@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import reduced_problem
 from .families import QUIET_LOG_Q, finite_log_q
 
 WARM_START_M = 7
@@ -166,8 +167,14 @@ def overlap_monte_carlo(family, partition, catalog, n_draws, rng):
     Needs exact per-stage samplers and catalog normalizing constants; the
     integrand is averaged under exact mu_v draws. Returns (delta, se) where
     se is the standard error at the minimizing (stage, cell). Raises
-    InvalidStateError when log q is not finite on a draw.
+    InvalidStateError when log q is not finite on a draw. It draws the
+    states ``engine.reduced_problem`` picks, on which log q and the cell
+    are defined: (s, r) rows for a lumped Gaussian mixture under its own
+    partition, else d-dim rows. Where the centre's ulp exceeds a stage's
+    scale, s = m + z sd rounds to m, and (s, r) rows lose the spread along
+    1_d (d-dim rows lose every coordinate's).
     """
+    family, partition, _ = reduced_problem(family, partition)
     if family.sample_stage is None:
         raise ValueError("family has no exact per-stage sampler")
     best, best_se = np.inf, np.nan

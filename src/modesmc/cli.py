@@ -291,15 +291,18 @@ def _provenance(cfg: dict) -> dict:
     return {"config_hash": config_hash(cfg), "seed": seed, "version": __version__}
 
 
-def _particle_count(n: int, family, partition) -> int:
-    """n, unless the run steps particle rows and N rows of d 8-byte numbers
-    reach the 2**63 bytes numpy refuses outright (below that a refusal is a
-    MemoryError, exit 3). A count-path run holds no row."""
-    if takes_counts(reduced_problem(family, partition)[0]):
-        return n
+def _check_rows(key: str, n: int, family):
+    """ConfigError on key where n rows of d 8-byte numbers reach the 2**63
+    bytes numpy refuses outright (below, a refusal is exit 3)."""
     if n * max(family.dimension, 1) * 8 >= 2**63:
         msg = f"times dimension times 8 bytes must be below 2**63, got {_shown(n)}"
-        raise ConfigError("algorithm.particles", msg)
+        raise ConfigError(key, msg)
+
+
+def _particle_count(n: int, family, partition) -> int:
+    """n, checked by ``_check_rows`` unless a count-path run holds no row."""
+    if not takes_counts(reduced_problem(family, partition)[0]):
+        _check_rows("algorithm.particles", n, family)
     return n
 
 
@@ -404,7 +407,8 @@ def run_tempering_from_config(cfg: dict, out_dir: Path) -> dict:
     sweeps = _require(cfg, "algorithm", "sweeps")
     summary = _provenance(cfg)
     seed = summary["seed"]
-    if method == "pt":
+    if method == "pt":  # the beta=1 trace holds one row a sweep
+        _check_rows("algorithm.sweeps", sweeps, family)
         result = tempering.pt_run(family, sweeps, seed, step_size=algo.get("step_size"))
         crossing = tempering.mode_crossing_report(result.target_trace, partition)
         summary.update(
@@ -441,21 +445,8 @@ def _run_method(cfg: dict, threads: int, out_dir: Path) -> dict:
     return run_tempering_from_config(cfg, out_dir)
 
 
-# bounds' Monte Carlo overlap draws 100_000 states of d floats at each of the
-# ~d ln d stages of a gaussian_mixture: 327 s and 525 MiB at d = 120 on a
-# loaded 2-core x86 VM, so GiBs and tens of hours at d = 2000
-MAX_OVERLAP_DIMENSION = 128
-
-
 def bounds_from_config(cfg: dict, out_dir: Path) -> dict:
     family, partition, truth = build_problem(cfg)
-    if family.name == "gaussian-mixture" and family.dimension > MAX_OVERLAP_DIMENSION:
-        raise ConfigError(
-            "problem.dimension",
-            f"must be at most {MAX_OVERLAP_DIMENSION} for bounds on gaussian_mixture,"
-            " whose Monte Carlo overlap draws 100000 states of d floats at each of"
-            f" its ~d ln d stages, got {family.dimension}",
-        )
     block = cfg.get("bounds", {})
     epsilon = block.get("epsilon", 0.25)
     exact = isinstance(truth, DiscreteSpace)  # enumerated: exact gaps too

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ from scipy.integrate import quad
 
 from modesmc import (
     DiscreteSpace,
+    InvalidStateError,
     analytic_catalog,
     bounds_table,
     gap_based_t_bound,
     gaussian_mixture_target,
+    half_space_partition,
     ising_target,
     lambda_of,
     mutation_tv_target,
@@ -227,6 +230,37 @@ class TestOverlap:
             num = quad(integrand, lo, hi, limit=200)[0]
             best = min(best, num / max(masses[0][j], masses[1][j]))
         assert abs(delta - best) <= 4 * se + 1e-6
+
+    def test_monte_carlo_draws_rows_where_the_partition_declares_them(self):
+        fam, part = gaussian_mixture_target(5)
+        cat = analytic_catalog(fam)
+        calls = []  # stages the full family's sample_stage draws
+
+        def sample_stage(v, n, rng):
+            calls.append(v)
+            return fam.sample_stage(v, n, rng)
+
+        spied = dataclasses.replace(fam, sample_stage=sample_stage)
+        rows = overlap_monte_carlo(
+            spied, part, cat, n_draws=100_000, rng=rngmod.stream(66, 0, 5)
+        )
+        assert calls == []
+        full = overlap_monte_carlo(
+            spied, half_space_partition(), cat, n_draws=100_000,
+            rng=rngmod.stream(67, 0, 5),
+        )
+        assert calls == list(range(fam.n_stages))
+        assert abs(rows[0] - full[0]) <= 4 * math.hypot(rows[1], full[1])
+
+    def test_monte_carlo_full_rows_past_float_range_raise(self):
+        # d-dim draws at this centre square past float range; a partition
+        # without a reduced form keeps them
+        fam, _ = gaussian_mixture_target(3, nu=1.7577070741974516e181)
+        with pytest.raises(InvalidStateError):
+            overlap_monte_carlo(
+                fam, half_space_partition(), analytic_catalog(fam),
+                n_draws=100, rng=rngmod.stream(68, 0, 5),
+            )
 
     def test_overlap_floor_on_spin_ladder(self):
         # symmetric spin ladder: gamma = 1, pi* = 1/2, ZW <= exp(alpha/2)

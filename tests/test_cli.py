@@ -18,7 +18,6 @@ import modesmc.engine
 from modesmc import WeightCollapseError
 from modesmc.cli import (
     _FIELDS,
-    MAX_OVERLAP_DIMENSION,
     ConfigError,
     build_problem,
     config_hash,
@@ -495,6 +494,17 @@ class TestCommands:
         assert proc.returncode == 3
         assert proc.stderr.startswith("runtime failure: Unable to allocate")
         assert len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "o" / "summary.yaml").exists()
+
+    def test_pt_trace_past_2_63_bytes_exits_2(self, tmp_path, capsys):
+        # the beta=1 trace of 2**62 sweeps would be 2**65 bytes
+        cfg = {"problem": {"family": "four_state"},
+               "algorithm": {"method": "pt", "sweeps": 2**62, "seed": 3}}
+        assert main(["run-pt", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: algorithm.sweeps: times dimension")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "o" / "summary.yaml").exists()
 
     @pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
@@ -986,35 +996,17 @@ class TestCommands:
         assert all(math.isfinite(v) for v in table.values())
         assert 0.0 < table["overlap_floor"] < table["overlap_mc"] <= 1.0
 
-    def test_bounds_overlap_log_q_not_finite_exits_3(self, tmp_path):
-        # finite closed forms, but the overlap's draws square past float range
+    def test_bounds_overlap_at_a_huge_center_runs_on_rows(self, tmp_path):
+        # d-dim draws at this centre square past float range; the overlap
+        # draws (s, r) rows, whose |s| - m never squares the centre
         problem = {"family": "gaussian_mixture", "dimension": 3,
                    "center_scale": 1.7577070741974516e181}
-        proc = subprocess.run(
-            [sys.executable, "-m", "modesmc", "bounds",
-             "--config", str(write_cfg(tmp_path, {"problem": problem})),
-             "--out", str(tmp_path / "b")],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": SRC},
-        )
-        assert proc.returncode == 3
-        assert proc.stderr == (
-            "runtime failure: non-finite base log density in batch\n"
-        )
-        assert not (tmp_path / "b" / "bounds.yaml").exists()
-
-    def test_bounds_gaussian_dimension_ceiling_exits_2(self, tmp_path, capsys):
-        d = MAX_OVERLAP_DIMENSION + 1
-        problem = {"family": "gaussian_mixture", "dimension": d}
         path = write_cfg(tmp_path, {"problem": problem})
         assert main(["bounds", "--config", str(path),
-                     "--out", str(tmp_path / "b")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(
-            f"config error: problem.dimension: must be at most {d - 1} for bounds"
-        )
-        assert err.endswith(f", got {d}\n") and len(err.splitlines()) == 1
-        assert not (tmp_path / "b" / "bounds.yaml").exists()
+                     "--out", str(tmp_path / "b")]) == 0
+        table = yaml.safe_load((tmp_path / "b" / "bounds.yaml").read_text())
+        assert all(math.isfinite(v) for v in table.values())
+        assert 0.0 < table["overlap_floor"] < table["overlap_mc"] <= 1.0
 
     def test_every_bounds_key_is_read(self, tmp_path):
         # each key the bounds block accepts must change the table it writes
@@ -1160,6 +1152,12 @@ class TestSweep:
 
 
 class TestVerifyCommand:
+    def test_largest_seed_runs(self, tmp_path):
+        # the checks' seeds seed + 1 .. seed + 5 wrap to u64
+        assert main(["verify", "--quick", "--seed", str(2**64 - 1),
+                     "--out", str(tmp_path)]) in (0, 1)
+        assert (tmp_path / "verify.csv").read_text().startswith("check,passed")
+
     def test_quick_suite_passes(self, tmp_path, capsys):
         assert main(["verify", "--quick", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -76,6 +76,8 @@ CASES = {
     "st-ising": ("run-st", [], {"problem": _ISING, "algorithm": _ST}),
     "bounds-four-state": ("bounds", [], {"problem": _FOUR}),
     "bounds-ising": ("bounds", [], {"problem": _ISING}),
+    # the Monte Carlo overlap, drawn on the (s, r) rows
+    "bounds-gauss": ("bounds", [], {"problem": _GAUSS}),
     # the verify suite ignores its config; its exact restricted cell blocks
     # and warmness trace reach verify.csv
     "verify-quick": ("verify", ["--quick"], {}),
@@ -147,6 +149,10 @@ DIGESTS = {
     'bounds-ising': {
         'bounds.yaml':
             'ecca0184b4672d5d9899a24e76964f14acb235111719e93107b60d78d775530b',
+    },
+    'bounds-gauss': {
+        'bounds.yaml':
+            '7302eeec97be96a966f65c6c244287a9a297e9961e1d88d1453f692c6fb41087',
     },
     'verify-quick': {
         'verify.csv':
